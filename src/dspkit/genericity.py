@@ -365,7 +365,8 @@ def sample_generic(
     solved exactly from the global sum-0 / product-1 constraint.  Assignments
     with a non-genericity relation (or colliding slot values) are rejected.
     Raises SamplingExhaustedError when the retry budget runs out, e.g. when a
-    relation is forced by the multiplicities.
+    relation is forced by the multiplicities, and ResourceExceededError when
+    the relation search on a draw exceeds its size cap or state budget.
     """
     if mode not in ("additive", "multiplicative"):
         raise InvalidInputError(f"unknown mode {mode!r}")

@@ -1,6 +1,6 @@
 """Numerical realization search and certification."""
 
-from .backend import backend_name, kernel
+from . import gn_numpy
 from .numeric import (
     NumericClass,
     burnside_dim,
@@ -8,7 +8,14 @@ from .numeric import (
     class_membership,
     jordan_matrix,
 )
-from .search import MAX_ENTRIES, MAX_SIZE, RealizationResult, SearchBudget, realize
+from .search import (
+    MAX_ENTRIES,
+    MAX_SIZE,
+    RealizationResult,
+    SearchBudget,
+    backend_name,
+    realize,
+)
 
 __all__ = [
     "backend_name",
@@ -24,3 +31,8 @@ __all__ = [
     "MAX_SIZE",
     "MAX_ENTRIES",
 ]
+
+
+def kernel():
+    """The run(G, Q0, multiplicative, iters, stop_tol) Gauss-Newton kernel."""
+    return gn_numpy.run

@@ -1,4 +1,4 @@
-"""Damped Gauss-Newton kernel, vectorized numpy path.
+"""Damped Gauss-Newton kernel of the realization search.
 
 Minimizes the squared Frobenius norm of sum(Q_j G_j Q_j^-1) (additive) or
 prod(Q_j G_j Q_j^-1) - I (multiplicative) over the conjugators Q_j.  The

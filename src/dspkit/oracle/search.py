@@ -17,10 +17,10 @@ import numpy as np
 
 from ..errors import IllConditionedError, InvalidInputError
 from ..genericity import ClassSpec, validate_specs
-from .backend import backend_name, kernel
+from . import gn_numpy
 from .numeric import NumericClass, burnside_dim, centralizer_nullity
 
-__all__ = ["SearchBudget", "RealizationResult", "realize", "MAX_SIZE", "MAX_ENTRIES"]
+__all__ = ["SearchBudget", "RealizationResult", "realize", "backend_name", "MAX_SIZE", "MAX_ENTRIES"]
 
 MAX_SIZE = 8
 MAX_ENTRIES = 6
@@ -55,6 +55,11 @@ class RealizationResult:
     @property
     def irreducible(self) -> bool:
         return self.burnside_dim == len(self.matrices[0]) ** 2
+
+
+def backend_name() -> str:
+    """Name of the Gauss-Newton kernel, carried by every realize report."""
+    return "numpy"
 
 
 def _random_start(seed: int, restart: int, m: int, n: int, cond_cap: float):
@@ -98,9 +103,8 @@ def _run_restart(args):
             raise InvalidInputError(f"warm start must have shape {(m, n, n)}, got {Q0.shape}")
     else:
         Q0 = _random_start(budget.seed, index, m, n, budget.cond_cap)
-    run = kernel()
     stop_tol = budget.residual_tol * 1e-4
-    Q, _, _ = run(G, Q0, multiplicative, budget.iters, stop_tol)
+    Q, _, _ = gn_numpy.run(G, Q0, multiplicative, budget.iters, stop_tol)
     conds = [float(np.linalg.cond(Q[j])) for j in range(m)]
     return index, Q, max(conds)
 
@@ -108,8 +112,8 @@ def _run_restart(args):
 def realize(specs: Sequence[ClassSpec], budget: SearchBudget = SearchBudget()):
     """Search for a certified realization; None when the budget is exhausted.
 
-    Certification recomputes the residual and all certificates in plain numpy
-    regardless of the kernel backend.  Restarts are independent, seeded by
+    Certification recomputes the residual and all certificates independently
+    of the Gauss-Newton kernel.  Restarts are independent, seeded by
     (seed, restart_index); the first certified restart by index wins.
     """
     mode = validate_specs(specs)
@@ -122,7 +126,6 @@ def realize(specs: Sequence[ClassSpec], budget: SearchBudget = SearchBudget()):
         raise InvalidInputError(f"numerical search capped at {MAX_ENTRIES} classes")
     numeric = [NumericClass.from_spec(s, budget.rank_tol, budget.eig_tol) for s in specs]
     G = np.array([nc.jordan_matrix for nc in numeric])
-    active_backend = backend_name()
 
     def certify(index: int, Q: np.ndarray) -> RealizationResult:
         A, residual = _residual_of(G, Q, multiplicative)
@@ -141,7 +144,7 @@ def realize(specs: Sequence[ClassSpec], budget: SearchBudget = SearchBudget()):
             class_membership_ok=membership,
             certified=certified,
             restart_index=index,
-            backend=active_backend,
+            backend=backend_name(),
             budget=budget,
         )
 

@@ -12,8 +12,7 @@ FIXTURES = Path(__file__).parent.parent / "fixtures"
 
 
 @pytest.fixture(autouse=True)
-def numpy_backend(monkeypatch):
-    monkeypatch.setenv("DSPKIT_BACKEND", "numpy")
+def no_env_seed(monkeypatch):
     monkeypatch.delenv("DSPKIT_SEED", raising=False)
 
 

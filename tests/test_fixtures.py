@@ -52,11 +52,6 @@ def dig(report, dotted):
     return value
 
 
-@pytest.fixture(autouse=True)
-def numpy_backend(monkeypatch):
-    monkeypatch.setenv("DSPKIT_BACKEND", "numpy")
-
-
 @pytest.mark.parametrize("fixture,command,extra,expect", CASES,
                          ids=[f"{c[1]}:{c[0]}" for c in CASES])
 def test_fixture_regression(capsys, fixture, command, extra, expect):
@@ -77,6 +72,7 @@ def test_realize_fixtures(capsys):
     assert code == 0
     assert report["certified"] and report["residual"] < 1e-12
     assert report["burnside_dim"] < 4 and report["centralizer_nullity"] == 1
+    assert report["backend"] == "numpy"
 
     code = main([
         "realize", str(FIXTURES / "strata_n2.json"),

@@ -7,20 +7,13 @@ from dspkit.genericity import ClassSpec, sample_generic
 from dspkit.jnf import Jnf, JnfTuple, Partition
 from dspkit.oracle import (
     SearchBudget,
-    backend_name,
     burnside_dim,
     centralizer_nullity,
     class_membership,
     jordan_matrix,
     realize,
 )
-from dspkit.oracle import gn_numba
 from dspkit.scalars import AdditiveScalar, MultiplicativeScalar
-
-
-@pytest.fixture(autouse=True)
-def numpy_backend(monkeypatch):
-    monkeypatch.setenv("DSPKIT_BACKEND", "numpy")
 
 
 def strata_specs():
@@ -149,11 +142,20 @@ class TestRealize:
         assert res.burnside_dim == 4
         assert res.centralizer_nullity == 1
         assert res.class_membership_ok
+        assert res.backend == "numpy"
 
     def test_hypergeometric_n3_full_algebra(self):
         tup = JnfTuple([Jnf([[1, 1], [1]]), Jnf([[1], [1], [1]]), Jnf([[1], [1], [1]])])
         specs = sample_generic(tup, "additive", seed=13)
         res = realize(specs, SearchBudget(restarts=30, iters=200, seed=4))
+        assert res is not None and res.certified
+        assert res.burnside_dim == 9
+        assert res.centralizer_nullity == 1
+
+    def test_multiplicative_n3_certified_irreducible(self):
+        tup = JnfTuple([Jnf([[1, 1], [1]]), Jnf([[1], [1], [1]]), Jnf([[1], [1], [1]])])
+        specs = sample_generic(tup, "multiplicative", seed=21)
+        res = realize(specs, SearchBudget(restarts=12, iters=200, seed=6))
         assert res is not None and res.certified
         assert res.burnside_dim == 9
         assert res.centralizer_nullity == 1
@@ -217,42 +219,3 @@ class TestRealize:
         assert serial.restart_index == parallel.restart_index
         for a, b in zip(serial.matrices, parallel.matrices):
             assert np.array_equal(a, b)
-
-
-@pytest.mark.skipif(not gn_numba.AVAILABLE, reason="numba not installed")
-class TestNumbaBackend:
-    def test_backend_selection(self, monkeypatch):
-        monkeypatch.setenv("DSPKIT_BACKEND", "numba")
-        assert backend_name() == "numba"
-        monkeypatch.setenv("DSPKIT_BACKEND", "numpy")
-        assert backend_name() == "numpy"
-
-    def test_same_certification_as_numpy(self, monkeypatch):
-        tup = JnfTuple([Jnf([[1], [1]])] * 3)
-        specs = sample_generic(tup, "additive", seed=7)
-        budget = SearchBudget(restarts=10, iters=150, seed=3)
-        monkeypatch.setenv("DSPKIT_BACKEND", "numpy")
-        res_np = realize(specs, budget)
-        monkeypatch.setenv("DSPKIT_BACKEND", "numba")
-        res_nb = realize(specs, budget)
-        assert res_np.certified and res_nb.certified
-        assert res_np.burnside_dim == res_nb.burnside_dim
-        assert res_np.centralizer_nullity == res_nb.centralizer_nullity
-
-    def test_warm_start_matches(self, monkeypatch):
-        monkeypatch.setenv("DSPKIT_BACKEND", "numba")
-        res = realize(strata_specs(), SearchBudget(restarts=1, warm_start=S1_WARM))
-        assert res.certified and res.residual < 1e-12
-
-    def test_multiplicative_parity(self, monkeypatch):
-        tup = JnfTuple([Jnf([[1, 1], [1]]), Jnf([[1], [1], [1]]), Jnf([[1], [1], [1]])])
-        specs = sample_generic(tup, "multiplicative", seed=21)
-        budget = SearchBudget(restarts=12, iters=200, seed=6)
-        monkeypatch.setenv("DSPKIT_BACKEND", "numpy")
-        res_np = realize(specs, budget)
-        monkeypatch.setenv("DSPKIT_BACKEND", "numba")
-        res_nb = realize(specs, budget)
-        assert res_np is not None and res_nb is not None
-        assert res_np.certified and res_nb.certified
-        assert res_np.burnside_dim == res_nb.burnside_dim == 9
-        assert res_np.centralizer_nullity == res_nb.centralizer_nullity == 1
