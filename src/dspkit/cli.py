@@ -213,6 +213,10 @@ def _cmd_realize(problem, args) -> tuple[dict, int]:
 
 
 def _cmd_enumerate(args) -> tuple[dict, int]:
+    if args.n < 1:
+        raise InvalidInputError(f"--n must be at least 1, got {args.n}")
+    if args.p < 1:
+        raise InvalidInputError(f"--p must be at least 1, got {args.p}")
     report = {"schema_version": SCHEMA_VERSION, "command": "enumerate-rigid"}
     report["n"] = args.n
     report["p"] = args.p

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import InvalidChoiceError, NotApplicableError, PsiUndefinedError
-from .jnf import Jnf, JnfTuple, Partition, d_of, kappa_of, r_of
+from .jnf import Jnf, JnfTuple, Partition, kappa_of
 
 __all__ = [
     "ConditionCheck",
@@ -50,14 +50,14 @@ class ConditionCheck:
 def check_conditions(tup: JnfTuple) -> ConditionCheck:
     """Evaluate alpha, beta, omega exactly from the class invariants."""
     n = tup.n
-    rs = [r_of(e) for e in tup.entries]
-    ds = [d_of(e) for e in tup.entries]
-    d_sum = sum(ds)
+    rs = [e.r for e in tup.entries]
+    d_sum = sum(e.d for e in tup.entries)
     r_sum = sum(rs)
+    # beta asks r_sum - r_j >= n for every j; the largest r_j is the binding one
     return ConditionCheck(
         alpha=d_sum >= 2 * n * n - 2,
         alpha_strict=d_sum > 2 * n * n - 2,
-        beta=all(r_sum - r >= n for r in rs),
+        beta=r_sum - max(rs) >= n,
         omega=r_sum >= 2 * n,
         n=n,
     )
@@ -99,40 +99,59 @@ class DecisionReport:
     expected_moduli_dimension: Optional[int]
 
 
+def _defined(c: ConditionCheck) -> bool:
+    return c.n > 1 and c.alpha and c.beta and not c.omega
+
+
 def psi_defined(tup: JnfTuple) -> bool:
     """The reduction step is defined iff alpha and beta hold, omega fails, n > 1."""
-    if tup.n <= 1:
-        return False
-    c = check_conditions(tup)
-    return c.alpha and c.beta and not c.omega
+    return _defined(check_conditions(tup))
 
 
 def maximizer_slots(jnf: Jnf) -> list[int]:
     """Canonical slot indices attaining the maximal Jordan-block count."""
-    top = max(s.num_parts for s in jnf.slots)
+    top = jnf.max_blocks
     return [i for i, s in enumerate(jnf.slots) if s.num_parts == top]
 
 
 def default_choice(jnf: Jnf) -> int:
     """Deterministic tie-break: maximal block count, then largest slot total,
     then lowest canonical slot index."""
-    best = maximizer_slots(jnf)
-    return max(best, key=lambda i: (jnf.slots[i].total, -i))
+    top = jnf.max_blocks
+    best, best_total = -1, 0
+    for i, s in enumerate(jnf.slots):
+        if s.num_parts == top and s.total > best_total:
+            best, best_total = i, s.total
+    return best
 
 
 def _shrink_slot(jnf: Jnf, slot: int, count: int) -> Jnf:
     """Decrement the `count` smallest blocks of one slot by 1, dropping zeros."""
-    parts = list(jnf.slots[slot].parts)
+    parts = jnf.slots[slot].parts
     # parts are stored descending; the smallest blocks sit at the tail
     assert count <= len(parts), "cannot shrink more blocks than the slot has"
-    head, tail = parts[: len(parts) - count], [p - 1 for p in parts[len(parts) - count :]]
-    new_parts = [p for p in head + tail if p > 0]
+    keep = len(parts) - count
+    new_parts = parts[:keep] + tuple(p - 1 for p in parts[keep:] if p > 1)
     new_slots = [s for i, s in enumerate(jnf.slots) if i != slot]
     if new_parts:
         new_slots.append(Partition(new_parts))
     if not new_slots:
         raise PsiUndefinedError("reduction would empty an entry completely")
     return Jnf(new_slots)
+
+
+def _step(tup: JnfTuple, chosen: Sequence[int], n1: int) -> JnfTuple:
+    """The reduction step on a tuple already gated as defined, with valid slots
+    `chosen` and reduced size n1 = sum r_j - n."""
+    n = tup.n
+    # beta guarantees n1 >= 1 and not-omega guarantees n1 < n; re-derive both
+    assert 1 <= n1 < n, f"reduced size out of range: n1={n1}, n={n}"
+    new_entries = []
+    for e, c in zip(tup.entries, chosen):
+        reduced = _shrink_slot(e, c, n - n1)
+        assert reduced.size == n1, f"entry shrank to {reduced.size}, expected {n1}"
+        new_entries.append(reduced)
+    return JnfTuple(new_entries)
 
 
 def psi_step(tup: JnfTuple, choice: Optional[Sequence[int]] = None) -> JnfTuple:
@@ -143,15 +162,10 @@ def psi_step(tup: JnfTuple, choice: Optional[Sequence[int]] = None) -> JnfTuple:
     `choice` optionally fixes the chosen slot per entry; every chosen slot
     must attain the maximal block count of its entry.
     """
-    if not psi_defined(tup):
+    if not _defined(check_conditions(tup)):
         raise PsiUndefinedError(
             "reduction step undefined: needs alpha and beta to hold, omega to fail, n > 1"
         )
-    n = tup.n
-    n1 = sum(r_of(e) for e in tup.entries) - n
-    # beta guarantees n1 >= 1 and not-omega guarantees n1 < n; re-derive both
-    assert 1 <= n1 < n, f"reduced size out of range: n1={n1}, n={n}"
-
     if choice is None:
         chosen = [default_choice(e) for e in tup.entries]
     else:
@@ -163,30 +177,27 @@ def psi_step(tup: JnfTuple, choice: Optional[Sequence[int]] = None) -> JnfTuple:
                 raise InvalidChoiceError(
                     f"slot {c} of {e} does not attain the maximal block count"
                 )
-
-    new_entries = []
-    for e, c in zip(tup.entries, chosen):
-        reduced = _shrink_slot(e, c, n - n1)
-        assert reduced.size == n1, f"entry shrank to {reduced.size}, expected {n1}"
-        new_entries.append(reduced)
-    return JnfTuple(new_entries)
+    return _step(tup, chosen, sum(e.r for e in tup.entries) - tup.n)
 
 
-def _iterate(tup: JnfTuple) -> PsiTrace:
-    """Run the reduction with the default tie-break until a stop condition."""
+def _iterate(tup: JnfTuple, conditions: ConditionCheck) -> PsiTrace:
+    """Run the reduction with the default tie-break until a stop condition.
+
+    `conditions` are those of `tup`; each later tuple is checked once."""
     steps: list[PsiStep] = []
-    current = tup
+    current, c = tup, conditions
     while True:
-        if check_conditions(current).omega:
+        if c.omega:
             return PsiTrace(tuple(steps), current, TerminationReason.OMEGA_HOLDS)
-        if current.n == 1:
+        if c.n == 1:
             return PsiTrace(tuple(steps), current, TerminationReason.N_EQUALS_1)
-        if not psi_defined(current):
+        if not _defined(c):
             return PsiTrace(tuple(steps), current, TerminationReason.PSI_UNDEFINED)
         chosen = tuple(default_choice(e) for e in current.entries)
-        n1 = sum(r_of(e) for e in current.entries) - current.n
+        n1 = sum(e.r for e in current.entries) - c.n
         steps.append(PsiStep(current, chosen, n1))
-        current = psi_step(current, chosen)
+        current = _step(current, chosen, n1)
+        c = check_conditions(current)
 
 
 def decide_generic(tup: JnfTuple) -> DecisionReport:
@@ -205,7 +216,7 @@ def decide_generic(tup: JnfTuple) -> DecisionReport:
     if not conditions.beta:
         trace = PsiTrace((), tup, TerminationReason.PSI_UNDEFINED)
         return DecisionReport(Verdict.NOT_SOLVABLE, conditions, kappa, trace, None)
-    trace = _iterate(tup)
+    trace = _iterate(tup, conditions)
     solvable = trace.termination_reason in (
         TerminationReason.OMEGA_HOLDS,
         TerminationReason.N_EQUALS_1,

@@ -149,7 +149,25 @@ def check_evs(specs: Sequence[ClassSpec]) -> bool:
     return total.is_zero() if mode == "additive" else total.is_one()
 
 
-def _entry_values(spec: ClassSpec, k: int, budget: list[int]):
+class _StateBudget:
+    """Counts the exact-value DP states of one cardinality k against a cap."""
+
+    def __init__(self, what: str, k: int, limit: int):
+        self.what = what
+        self.k = k
+        self.limit = limit
+        self.used = 0
+
+    def take(self, count: int = 1) -> None:
+        self.used += count
+        if self.used > self.limit:
+            raise ResourceExceededError(
+                f"{self.what} exceeded its state budget at cardinality k={self.k}: "
+                f"{self.used} states used, budget {self.limit}"
+            )
+
+
+def _entry_values(spec: ClassSpec, k: int, budget: _StateBudget):
     """value -> selection counts for choosing exactly k eigenvalue copies."""
     mode = spec.mode
     dp: list[dict] = [dict() for _ in range(k + 1)]
@@ -163,16 +181,12 @@ def _entry_values(spec: ClassSpec, k: int, budget: list[int]):
                     bucket = new_dp[t + c]
                     if nv not in bucket:
                         bucket[nv] = counts + (c,)
-                        budget[0] -= 1
-                        if budget[0] < 0:
-                            raise ResourceExceededError(
-                                "relation search exceeded its exact-value state budget"
-                            )
+                        budget.take()
         dp = new_dp
     return dp[k]
 
 
-def _fold_values(mode: str, dicts: list[dict], budget: list[int]) -> dict:
+def _fold_values(mode: str, dicts: list[dict], budget: _StateBudget) -> dict:
     """Combine per-entry value maps; values merge, witnesses concatenate."""
     acc = {_identity(mode): ()}
     for d in dicts:
@@ -182,11 +196,7 @@ def _fold_values(mode: str, dicts: list[dict], budget: list[int]) -> dict:
                 nv = (v1 + v2) if mode == "additive" else (v1 * v2)
                 if nv not in new_acc:
                     new_acc[nv] = w1 + (w2,)
-                    budget[0] -= 1
-                    if budget[0] < 0:
-                        raise ResourceExceededError(
-                            "relation search exceeded its exact-value state budget"
-                        )
+                    budget.take()
         acc = new_acc
     return acc
 
@@ -205,7 +215,7 @@ def find_relation(
     if n > MAX_RELATION_SIZE:
         raise ResourceExceededError(f"relation enumeration capped at size {MAX_RELATION_SIZE}")
     for k in range(1, n):
-        budget = [state_budget]
+        budget = _StateBudget("relation search", k, state_budget)
         per_entry = [_entry_values(s, k, budget) for s in specs]
         half = len(per_entry) // 2
         left = _fold_values(mode, per_entry[:half], budget)
@@ -228,7 +238,7 @@ def relation_selection_count(
     """
     mode = validate_specs(specs)
     k = cardinality
-    budget = [state_budget]
+    budget = _StateBudget("relation counting", k, state_budget)
     per_entry = []
     for spec in specs:
         counting: list[dict] = [dict() for _ in range(k + 1)]
@@ -241,11 +251,7 @@ def relation_selection_count(
                         nv = _combine(mode, value, ev, c)
                         bucket = new_dp[t + c]
                         if nv not in bucket:
-                            budget[0] -= 1
-                            if budget[0] < 0:
-                                raise ResourceExceededError(
-                                    "relation counting exceeded its state budget"
-                                )
+                            budget.take()
                             bucket[nv] = 0
                         bucket[nv] += cnt
             counting = new_dp
@@ -257,9 +263,7 @@ def relation_selection_count(
             for v2, c2 in d.items():
                 nv = (v1 + v2) if mode == "additive" else (v1 * v2)
                 if nv not in new_acc:
-                    budget[0] -= 1
-                    if budget[0] < 0:
-                        raise ResourceExceededError("relation counting exceeded its state budget")
+                    budget.take()
                     new_acc[nv] = 0
                 new_acc[nv] += c1 * c2
         acc = new_acc
@@ -304,7 +308,8 @@ def check_generalized_beta(specs: Sequence[ClassSpec]) -> bool:
     best_proper = sum(max_blocks) - min(max_blocks)
     # full selection: one eigenvalue per entry, constrained product/sum
     acc: dict = {_identity(mode): 0}
-    for spec in specs:
+    # after j entries the states are selections of k = j eigenvalue copies
+    for k, spec in enumerate(specs, start=1):
         options = [
             (ev, slot.num_parts) for ev, slot in zip(spec.eigenvalues, spec.jnf.slots)
         ]
@@ -315,8 +320,7 @@ def check_generalized_beta(specs: Sequence[ClassSpec]) -> bool:
                 got = blocks + b
                 if new_acc.get(nv, -1) < got:
                     new_acc[nv] = got
-        if len(new_acc) > DEFAULT_STATE_BUDGET:
-            raise ResourceExceededError("generalized rank condition exceeded its state budget")
+        _StateBudget("generalized rank condition", k, DEFAULT_STATE_BUDGET).take(len(new_acc))
         acc = new_acc
     target = _identity(mode)
     best = max(best_proper, acc.get(target, -1))

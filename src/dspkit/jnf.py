@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
+from operator import attrgetter
 from typing import Hashable, Iterable, Mapping, Sequence
 
 from .errors import InvalidInputError
@@ -36,25 +37,33 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Partition:
-    """Weakly decreasing tuple of positive integers (Jordan block sizes)."""
+    """Weakly decreasing tuple of positive integers (Jordan block sizes).
+
+    `total` (the sum of the parts) and `num_parts` are stored on the value.
+    """
 
     parts: tuple[int, ...]
 
     def __init__(self, parts: Iterable[int]):
-        norm = tuple(sorted((int(p) for p in parts), reverse=True))
+        norm = tuple(sorted(map(int, parts), reverse=True))
         if not norm:
             raise InvalidInputError("partition must have at least one part")
         if norm[-1] < 1:
             raise InvalidInputError(f"partition parts must be positive, got {norm}")
-        object.__setattr__(self, "parts", norm)
+        # frozen: write the instance dict directly, as object.__setattr__ would
+        self.__dict__.update(
+            parts=norm, total=sum(norm), num_parts=len(norm), _hash=hash((norm,))
+        )
 
-    @property
-    def total(self) -> int:
-        return sum(self.parts)
+    def __hash__(self) -> int:
+        return self._hash
 
-    @property
-    def num_parts(self) -> int:
-        return len(self.parts)
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._hash == other._hash and self.parts == other.parts
 
     def dual(self) -> "Partition":
         """Conjugate partition: dual()_k counts parts that are >= k."""
@@ -64,6 +73,9 @@ class Partition:
 
     def __repr__(self) -> str:
         return f"Partition{self.parts}"
+
+
+_parts_of = attrgetter("parts")
 
 
 def dual_partition(partition: Partition) -> Partition:
@@ -76,6 +88,9 @@ class Jnf:
 
     Slots are stored in a canonical order (partitions sorted descending by
     their parts tuple) so structural equality means multiset equality.
+    The size, the largest block count of a slot (`max_blocks`) and
+    r = size - max_blocks are stored on the value; z and d are computed on
+    first use and then stored.
     """
 
     slots: tuple[Partition, ...]
@@ -84,17 +99,43 @@ class Jnf:
         norm = tuple(
             sorted(
                 (s if isinstance(s, Partition) else Partition(s) for s in slots),
-                key=lambda p: p.parts,
+                key=_parts_of,
                 reverse=True,
             )
         )
         if not norm:
             raise InvalidInputError("JNF must have at least one eigenvalue slot")
-        object.__setattr__(self, "slots", norm)
+        size = 0
+        max_blocks = 0
+        for s in norm:
+            size += s.total
+            if s.num_parts > max_blocks:
+                max_blocks = s.num_parts
+        self.__dict__.update(
+            slots=norm, size=size, max_blocks=max_blocks, r=size - max_blocks, _hash=hash((norm,))
+        )
 
-    @property
-    def size(self) -> int:
-        return sum(s.total for s in self.slots)
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._hash == other._hash and self.slots == other.slots
+
+    @cached_property
+    def z(self) -> int:
+        """Centralizer dimension, computed on first use."""
+        return sum((2 * i - 1) * b for s in self.slots for i, b in enumerate(s.parts, start=1))
+
+    @cached_property
+    def d(self) -> int:
+        """Class dimension size^2 - z, computed on first use; always even."""
+        d = self.size * self.size - self.z
+        assert d % 2 == 0, f"class dimension must be even, got {d} for {self}"
+        return d
 
     @property
     def num_slots(self) -> int:
@@ -114,7 +155,10 @@ class Jnf:
 
 @dataclass(frozen=True)
 class JnfTuple:
-    """Tuple of p+1 JNFs sharing one size n (the conjugacy-class prescriptions)."""
+    """Tuple of p+1 JNFs sharing one size n (the conjugacy-class prescriptions).
+
+    Entry order matters for equality.  `n` is stored on the value.
+    """
 
     entries: tuple[Jnf, ...]
 
@@ -125,11 +169,17 @@ class JnfTuple:
         sizes = {e.size for e in norm}
         if len(sizes) != 1:
             raise InvalidInputError(f"all entries must share one size, got {sorted(sizes)}")
-        object.__setattr__(self, "entries", norm)
+        self.__dict__.update(entries=norm, n=norm[0].size, _hash=hash((norm,)))
 
-    @property
-    def n(self) -> int:
-        return self.entries[0].size
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._hash == other._hash and self.entries == other.entries
 
     @property
     def p(self) -> int:
@@ -145,7 +195,6 @@ class JnfTuple:
         return f"JnfTuple(n={self.n}, {list(self.entries)})"
 
 
-@lru_cache(maxsize=None)
 def z_of(jnf: Jnf) -> int:
     """Centralizer dimension of a matrix with this JNF.
 
@@ -153,31 +202,26 @@ def z_of(jnf: Jnf) -> int:
     block sizes (i 1-based).  For a diagonal JNF this is the sum of squared
     multiplicities.
     """
-    return sum((2 * i - 1) * b for s in jnf.slots for i, b in enumerate(s.parts, start=1))
+    return jnf.z
 
 
-@lru_cache(maxsize=None)
 def d_of(jnf: Jnf) -> int:
     """Conjugacy-class dimension n^2 - z; always even."""
-    n = jnf.size
-    d = n * n - z_of(jnf)
-    assert d % 2 == 0, f"class dimension must be even, got {d} for {jnf}"
-    return d
+    return jnf.d
 
 
-@lru_cache(maxsize=None)
 def r_of(jnf: Jnf) -> int:
     """n minus the maximal number of Jordan blocks sharing one eigenvalue.
 
     Equals min over lambda of rank(Y - lambda*I) for Y with this JNF.
     """
-    return jnf.size - max(s.num_parts for s in jnf.slots)
+    return jnf.r
 
 
 def kappa_of(tup: JnfTuple) -> int:
     """Index of rigidity 2n^2 - sum of class dimensions."""
     n = tup.n
-    return 2 * n * n - sum(d_of(e) for e in tup.entries)
+    return 2 * n * n - sum(e.d for e in tup.entries)
 
 
 @dataclass(frozen=True)
@@ -192,9 +236,9 @@ class InvariantSummary:
 
 def invariant_summary(tup: JnfTuple) -> InvariantSummary:
     return InvariantSummary(
-        r=tuple(r_of(e) for e in tup.entries),
-        d=tuple(d_of(e) for e in tup.entries),
-        z=tuple(z_of(e) for e in tup.entries),
+        r=tuple(e.r for e in tup.entries),
+        d=tuple(e.d for e in tup.entries),
+        z=tuple(e.z for e in tup.entries),
         kappa=kappa_of(tup),
     )
 

@@ -83,7 +83,8 @@ def parse_problem(data: dict) -> ProblemInput:
         ):
             raise InvalidInputError(f"class {idx}: 'blocks' must be a list of nonempty lists")
         for slot in blocks:
-            if not all(isinstance(b, int) and b >= 1 for b in slot):
+            # JSON true/false arrive as bool, a subclass of int
+            if not all(isinstance(b, int) and not isinstance(b, bool) and b >= 1 for b in slot):
                 raise InvalidInputError(f"class {idx}: block sizes must be positive integers")
         evs = cls.get("eigenvalues")
         if evs is not None:

@@ -124,19 +124,32 @@ _MULT_RE = re.compile(
 )
 
 
+def _fraction(text: str, source: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise InvalidInputError(f"zero denominator in scalar {source!r}") from None
+
+
 def parse_scalar(text: str, mode: str) -> Scalar:
-    """Parse the scalar text syntax for the given mode."""
+    """Parse the scalar text syntax for the given mode.
+
+    Raises InvalidInputError for anything that is not a well-formed scalar
+    string of that mode, including non-strings and zero denominators.
+    """
+    if not isinstance(text, str):
+        raise InvalidInputError(f"a scalar must be a string, got {text!r}")
     if mode == "additive":
         m = _PURE_IM_RE.match(text)
         if m:
-            return AdditiveScalar(0, Fraction(m.group("im")))
+            return AdditiveScalar(0, _fraction(m.group("im"), text))
         m = _ADDITIVE_RE.match(text)
         if not m:
             raise InvalidInputError(f"cannot parse additive scalar {text!r}")
-        re_part = Fraction(m.group("re"))
+        re_part = _fraction(m.group("re"), text)
         im_part = Fraction(0)
         if m.group("im"):
-            im_part = Fraction(m.group("im"))
+            im_part = _fraction(m.group("im"), text)
             if m.group("sign") == "-":
                 im_part = -im_part
         return AdditiveScalar(re_part, im_part)
@@ -144,7 +157,9 @@ def parse_scalar(text: str, mode: str) -> Scalar:
         m = _MULT_RE.match(text)
         if not m:
             raise InvalidInputError(f"cannot parse multiplicative scalar {text!r}")
-        return MultiplicativeScalar(Fraction(m.group("mod")), Fraction(m.group("arg")))
+        return MultiplicativeScalar(
+            _fraction(m.group("mod"), text), _fraction(m.group("arg"), text)
+        )
     raise InvalidInputError(f"unknown mode {mode!r}")
 
 

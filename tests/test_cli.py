@@ -42,6 +42,33 @@ class TestInvariants:
         assert "positive" in captured.err
 
 
+    @pytest.mark.parametrize(
+        "mode, eigenvalues, message",
+        [
+            ("additive", [1, 2], "must be a string"),
+            ("additive", ["1/0", "-1/0"], "zero denominator"),
+            ("multiplicative", ["{mod: 1, arg: 1/0}", "{mod: 1, arg: 0}"], "zero denominator"),
+        ],
+    )
+    def test_bad_eigenvalue_exit2(self, capsys, tmp_path, mode, eigenvalues, message):
+        cls = {"blocks": [[1], [1]], "eigenvalues": eigenvalues}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"mode": mode, "classes": [cls] * 3}))
+        code = main(["invariants", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert message in captured.err
+
+    def test_boolean_block_size_exit2(self, capsys, tmp_path):
+        problem = {"mode": "additive", "classes": [{"blocks": [[True], [1]]}] * 3}
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps(problem))
+        code = main(["invariants", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "positive integers" in captured.err
+
+
 class TestDecide:
     def test_hypergeometric_trace(self, capsys):
         code, (report,) = run(
@@ -243,6 +270,16 @@ class TestEnumerateRigid:
         _, (report,) = run(capsys, "enumerate-rigid", "--n", "1")
         assert report["count"] == 1
         assert report["tuples"][0]["multiplicities"] == [[1], [1], [1]]
+
+    @pytest.mark.parametrize("flag, value", [("--n", "0"), ("--n", "-2"), ("--p", "-2")])
+    def test_below_one_exit2(self, capsys, flag, value):
+        argv = ["enumerate-rigid", "--n", "3", "--p", "2"]
+        argv[argv.index(flag) + 1] = value
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"{flag} must be at least 1, got {value}" in captured.err
 
     def test_n6_contains_table_families(self, capsys):
         _, (report,) = run(capsys, "enumerate-rigid", "--n", "6", "--p", "2")

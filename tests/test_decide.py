@@ -123,6 +123,87 @@ class TestDecideGeneric:
         assert kappa_of(rep.trace.terminal) == rep.kappa
 
 
+def _plain_trace(tup):
+    """The default-choice reduction on plain int tuples: a tuple is a tuple of
+    entries, an entry a descending-sorted tuple of descending partitions.
+    Returns (steps as (input, chosen slots, n1), terminal, reason)."""
+    steps = []
+    while True:
+        n = sum(sum(p) for p in tup[0])
+        rs = [n - max(len(p) for p in e) for e in tup]
+        d_sum = sum(n * n - sum((2 * i + 1) * b for p in e for i, b in enumerate(p)) for e in tup)
+        r_sum = sum(rs)
+        if r_sum >= 2 * n:
+            return steps, tup, "omega_holds"
+        if n == 1:
+            return steps, tup, "n_equals_1"
+        if d_sum < 2 * n * n - 2 or any(r_sum - r < n for r in rs):
+            return steps, tup, "psi_undefined"
+        chosen = []
+        for e in tup:
+            top = max(len(p) for p in e)
+            best = [i for i, p in enumerate(e) if len(p) == top]
+            chosen.append(max(best, key=lambda i: (sum(e[i]), -i)))
+        n1 = r_sum - n
+        steps.append((tup, tuple(chosen), n1))
+        cut = n - n1
+        new_tup = []
+        for e, c in zip(tup, chosen):
+            p = e[c]
+            shrunk = p[: len(p) - cut] + tuple(b - 1 for b in p[len(p) - cut :] if b > 1)
+            slots = [q for i, q in enumerate(e) if i != c] + ([shrunk] if shrunk else [])
+            new_tup.append(tuple(sorted(slots, reverse=True)))
+        tup = tuple(new_tup)
+
+
+def _plain(tup):
+    return tuple(tuple(s.parts for s in e.slots) for e in tup.entries)
+
+
+def _assert_trace_matches(tup):
+    report = decide_generic(tup)
+    steps, terminal, reason = _plain_trace(_plain(tup))
+    got = [(_plain(s.input), s.chosen_slots, s.n1) for s in report.trace.steps]
+    assert got == steps, tup
+    assert _plain(report.trace.terminal) == terminal, tup
+    assert report.trace.termination_reason.value == reason, tup
+    for step in report.trace.steps:
+        for e in step.input.entries:
+            top = max(len(s.parts) for s in e.slots)
+            assert maximizer_slots(e) == [i for i, s in enumerate(e.slots) if len(s.parts) == top]
+
+
+class TestTraceAgainstPlainTuples:
+    """decide_generic traces equal a recomputation on plain int tuples."""
+
+    def test_every_small_reduction_defined_tuple(self):
+        import itertools
+
+        from dspkit.enumerate import all_jnfs
+
+        checked = 0
+        for n in range(2, 6):
+            jnfs = all_jnfs(n)
+            for m in (3, 4):
+                for combo in itertools.combinations_with_replacement(jnfs, m):
+                    tup = JnfTuple(combo)
+                    steps, _, _ = _plain_trace(_plain(tup))
+                    if steps:  # the reduction step is defined on tup itself
+                        _assert_trace_matches(tup)
+                        checked += 1
+        assert checked == 5552
+
+    def test_seeded_random_tuples(self):
+        rng = random.Random(4)
+        checked = 0
+        while checked < 2000:
+            tup = random_psi_defined_tuple(rng, max_n=12)
+            if tup is None:
+                continue
+            _assert_trace_matches(tup)
+            checked += 1
+
+
 class TestDecideWeakDistinct:
     def test_hypergeometric(self):
         rep = decide_weak_distinct(HYPER2)

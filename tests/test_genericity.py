@@ -6,6 +6,7 @@ import pytest
 
 from dspkit.errors import (
     InvalidInputError,
+    ResourceExceededError,
     SamplingExhaustedError,
     SlotCollisionError,
     UnsupportedScalarError,
@@ -146,6 +147,41 @@ class TestRelationCounting:
         assert relation_selection_count(nongeneric, 1) == 0
         assert relation_selection_count(nongeneric, 2) == 1
         assert relation_selection_count(nongeneric, 3) == 0
+
+
+class TestStateBudget:
+    """A budget overrun names the cardinality k, the states used and the cap."""
+
+    def test_find_relation(self):
+        with pytest.raises(ResourceExceededError) as info:
+            find_relation(example41(I_UNIT), state_budget=3)
+        assert str(info.value) == (
+            "relation search exceeded its state budget at cardinality k=1: "
+            "4 states used, budget 3"
+        )
+
+    def test_relation_selection_count(self):
+        with pytest.raises(ResourceExceededError) as info:
+            relation_selection_count(example41(MINUS_ONE), 2, state_budget=2)
+        assert str(info.value) == (
+            "relation counting exceeded its state budget at cardinality k=2: "
+            "3 states used, budget 2"
+        )
+
+    def test_generalized_beta(self, monkeypatch):
+        import dspkit.genericity as genericity
+
+        monkeypatch.setattr(genericity, "DEFAULT_STATE_BUDGET", 1)
+        spec = ClassSpec(
+            [(Partition([1]), AdditiveScalar(1)), (Partition([1]), AdditiveScalar(-1))],
+            "additive",
+        )
+        with pytest.raises(ResourceExceededError) as info:
+            check_generalized_beta([spec] * 3)
+        assert str(info.value) == (
+            "generalized rank condition exceeded its state budget at cardinality k=1: "
+            "2 states used, budget 1"
+        )
 
 
 class TestGcdReduction:

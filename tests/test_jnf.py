@@ -1,5 +1,8 @@
 """Partitions, JNF invariants, the diagonal correspondence and subordination."""
 
+import dataclasses
+import itertools
+
 import pytest
 
 from dspkit.errors import InvalidInputError
@@ -57,6 +60,71 @@ class TestJnfBasics:
             JnfTuple([Jnf([[2]]), Jnf([[3]])])
         with pytest.raises(InvalidInputError):
             JnfTuple([Jnf([[2]])])
+
+
+class TestStoredInvariants:
+    """Invariants stored on the values equal closed forms recomputed from parts."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_stored_values_match_closed_forms(self, n):
+        for jnf in all_jnfs(n):
+            parts = [s.parts for s in jnf.slots]
+            size = sum(sum(p) for p in parts)
+            z = sum((2 * i + 1) * b for p in parts for i, b in enumerate(p))
+            assert jnf.size == size == n
+            assert jnf.max_blocks == max(len(p) for p in parts)
+            assert jnf.r == r_of(jnf) == size - max(len(p) for p in parts)
+            assert jnf.z == z_of(jnf) == z
+            assert jnf.d == d_of(jnf) == size * size - z
+            for slot, p in zip(jnf.slots, parts):
+                assert slot.total == sum(p)
+                assert slot.num_parts == len(p)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_hashes_match_dataclass_hashes(self, n):
+        for jnf in all_jnfs(n):
+            for slot in jnf.slots:
+                assert hash(slot) == hash((slot.parts,))
+            assert hash(jnf) == hash((jnf.slots,))
+        for combo in itertools.combinations(all_jnfs(n), 3):
+            tup = JnfTuple(combo)
+            assert hash(tup) == hash((tup.entries,))
+
+    def test_stored_values_are_not_fields(self):
+        assert [f.name for f in dataclasses.fields(Partition)] == ["parts"]
+        assert [f.name for f in dataclasses.fields(Jnf)] == ["slots"]
+        assert [f.name for f in dataclasses.fields(JnfTuple)] == ["entries"]
+        jnf = Jnf([[2, 1], [4, 3, 1]])
+        assert repr(jnf) == "Jnf[[4, 3, 1],[2, 1]]"
+        assert repr(jnf.slots[0]) == "Partition(4, 3, 1)"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            jnf.size = 3
+        with pytest.raises(AttributeError):
+            jnf.no_such_attribute
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_slot_order_is_irrelevant(self, n):
+        for jnf in all_jnfs(n):
+            raw = [list(s.parts) for s in jnf.slots]
+            table = {jnf: "value"}
+            for perm in itertools.islice(itertools.permutations(raw), 24):
+                other = Jnf(perm)
+                assert other == jnf and hash(other) == hash(jnf)
+                assert table[other] == "value"
+                table[other] = "replaced"
+                assert len(table) == 1
+                table[jnf] = "value"
+
+    def test_tuple_equality_depends_on_entry_order(self):
+        a, b = Jnf([[2], [1]]), Jnf([[1, 1, 1]])
+        assert JnfTuple([a, b, b]) == JnfTuple([Jnf([[1], [2]]), b, b])
+        assert JnfTuple([a, b, b]) != JnfTuple([b, a, b])
+        assert {JnfTuple([a, b, b]): 1}.get(JnfTuple([b, b, a])) is None
+
+    def test_equality_with_other_types(self):
+        assert Jnf([[1]]) != Partition([1])
+        assert Partition([1]) != (1,)
+        assert JnfTuple([Jnf([[1]])] * 2) != (Jnf([[1]]),) * 2
 
 
 class TestInvariantExamples:

@@ -89,3 +89,23 @@ class TestTextSyntax:
             parse_scalar("{mod: 1, arg: 1/4}", "additive")
         with pytest.raises(InvalidInputError):
             parse_scalar("1", "angular")
+
+    @pytest.mark.parametrize(
+        "text, mode",
+        [
+            ("1/0", "additive"),
+            ("1/0 i", "additive"),
+            ("1+1/0 i", "additive"),
+            ("{mod: 1/0, arg: 0}", "multiplicative"),
+            ("{mod: 1, arg: 1/0}", "multiplicative"),
+        ],
+    )
+    def test_rejects_zero_denominator(self, text, mode):
+        with pytest.raises(InvalidInputError, match="zero denominator"):
+            parse_scalar(text, mode)
+
+    @pytest.mark.parametrize("value", [1, 1.5, None, ["1"]])
+    def test_rejects_non_string(self, value):
+        for mode in ("additive", "multiplicative"):
+            with pytest.raises(InvalidInputError, match="must be a string"):
+                parse_scalar(value, mode)
