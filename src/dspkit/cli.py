@@ -169,12 +169,37 @@ def _load_warm_start(path: str):
     return tuple(matrix_from_json(m) for m in data["conjugators"])
 
 
-def _cmd_realize(problem, args) -> tuple[dict, int]:
-    specs = problem.require_specs("realize")
-    seed = args.seed
+def _realize_seed(args) -> int:
+    """DSPKIT_SEED when set, else --seed; it must be an integer in [0, 2**32)."""
+    name, seed = "--seed", args.seed
     env_seed = os.environ.get("DSPKIT_SEED")
     if env_seed is not None:
-        seed = int(env_seed)
+        name = "DSPKIT_SEED"
+        try:
+            seed = int(env_seed)
+        except ValueError:
+            raise InvalidInputError(f"DSPKIT_SEED must be an integer, got {env_seed!r}") from None
+    if not 0 <= seed < 2**32:
+        raise InvalidInputError(f"{name} must be in [0, 2**32), got {seed}")
+    return seed
+
+
+def _check_budget_args(args) -> None:
+    """Reject worker counts and realize budgets with which nothing can run."""
+    if args.jobs < 1:
+        raise InvalidInputError(f"--jobs must be at least 1, got {args.jobs}")
+    if args.command == "realize":
+        for flag, value in (("--restarts", args.restarts), ("--iters", args.iters)):
+            if value < 1:
+                raise InvalidInputError(f"{flag} must be at least 1, got {value}")
+        if not args.tol > 0:
+            raise InvalidInputError(f"--tol must be positive, got {args.tol}")
+        _realize_seed(args)
+
+
+def _cmd_realize(problem, args) -> tuple[dict, int]:
+    specs = problem.require_specs("realize")
+    seed = _realize_seed(args)
     warm = _load_warm_start(args.warm_start) if args.warm_start else None
     budget = SearchBudget(
         restarts=args.restarts,
@@ -260,6 +285,7 @@ def _dispatch(args) -> int:
         report, code = _cmd_enumerate(args)
         print(json.dumps(report))
         return code
+    _check_budget_args(args)
     target = Path(args.input)
     if target.is_dir():
         files = sorted(target.glob("*.json"))

@@ -152,11 +152,11 @@ def check_evs(specs: Sequence[ClassSpec]) -> bool:
 class _StateBudget:
     """Counts the exact-value DP states of one cardinality k against a cap."""
 
-    def __init__(self, what: str, k: int, limit: int):
+    def __init__(self, what: str, k: int, limit: int, used: int = 0):
         self.what = what
         self.k = k
         self.limit = limit
-        self.used = 0
+        self.used = used
 
     def take(self, count: int = 1) -> None:
         self.used += count
@@ -167,38 +167,60 @@ class _StateBudget:
             )
 
 
-def _entry_values(spec: ClassSpec, k: int, budget: _StateBudget):
-    """value -> selection counts for choosing exactly k eigenvalue copies."""
+def _grow_layers(spec: ClassSpec, layers: list, k: int, budget: _StateBudget) -> None:
+    """Grow one entry's selection DP up to cardinality layer k.
+
+    layers[t][s] maps each value reachable with t eigenvalue copies from the
+    first s slots to [its first selection counts, its number of selections].
+    Layer t at slot s+1 adds t - u copies to layer u at slot s, u ascending,
+    so first selections do not depend on how far the DP is grown.
+    """
     mode = spec.mode
-    dp: list[dict] = [dict() for _ in range(k + 1)]
-    dp[0][_identity(mode)] = ()
-    for ev, m in zip(spec.eigenvalues, spec.multiplicities()):
-        new_dp: list[dict] = [dict() for _ in range(k + 1)]
-        for t in range(k + 1):
-            for value, counts in dp[t].items():
-                for c in range(0, min(m, k - t) + 1):
-                    nv = _combine(mode, value, ev, c)
-                    bucket = new_dp[t + c]
-                    if nv not in bucket:
-                        bucket[nv] = counts + (c,)
+    for t in range(len(layers), k + 1):
+        layers.append([{_identity(mode): [(), 1]} if t == 0 else {}])
+        for s, (ev, m) in enumerate(zip(spec.eigenvalues, spec.multiplicities())):
+            stage: dict = {}
+            for u in range(max(0, t - m), t + 1):
+                for value, (selection, number) in layers[u][s].items():
+                    nv = _combine(mode, value, ev, t - u)
+                    hit = stage.get(nv)
+                    if hit is None:
                         budget.take()
-        dp = new_dp
-    return dp[k]
+                        stage[nv] = [selection + (t - u,), number]
+                    else:
+                        hit[1] += number
+            layers[t].append(stage)
 
 
-def _fold_values(mode: str, dicts: list[dict], budget: _StateBudget) -> dict:
-    """Combine per-entry value maps; values merge, witnesses concatenate."""
-    acc = {_identity(mode): ()}
-    for d in dicts:
-        new_acc: dict = {}
-        for v1, w1 in acc.items():
-            for v2, w2 in d.items():
-                nv = (v1 + v2) if mode == "additive" else (v1 * v2)
-                if nv not in new_acc:
-                    new_acc[nv] = w1 + (w2,)
-                    budget.take()
-        acc = new_acc
-    return acc
+def _relation_pairs(mode: str, specs, per_entry: list, k: int, budget: _StateBudget):
+    """Grow every entry's DP to layer k, fold layer k over each half of the
+    entries, and yield the [selections, number] of each left value together
+    with that of its complement on the right (meet in the middle).
+    """
+    for spec, layers in zip(specs, per_entry):
+        _grow_layers(spec, layers, k, budget)
+    half = len(per_entry) // 2
+    folds = []
+    for part in (per_entry[:half], per_entry[half:]):
+        acc = {_identity(mode): [(), 1]}
+        for layers in part:
+            new_acc: dict = {}
+            for v1, (w1, c1) in acc.items():
+                for v2, (w2, c2) in layers[k][-1].items():
+                    nv = (v1 + v2) if mode == "additive" else (v1 * v2)
+                    hit = new_acc.get(nv)
+                    if hit is None:
+                        budget.take()
+                        new_acc[nv] = [w1 + (w2,), c1 * c2]
+                    else:
+                        hit[1] += c1 * c2
+            acc = new_acc
+        folds.append(acc)
+    left, right = folds
+    for value, entry in left.items():
+        hit = right.get(-value if mode == "additive" else value.inverse())
+        if hit is not None:
+            yield entry, hit
 
 
 def find_relation(
@@ -206,25 +228,24 @@ def find_relation(
 ) -> Optional[RelationWitness]:
     """Smallest-cardinality non-genericity relation, or None when generic.
 
-    For each cardinality k the per-entry achievable values are built by
-    bounded-knapsack DP over slot multiplicities, then the entries are merged
-    as two halves and checked pairwise (meet in the middle).
+    Each entry's bounded-knapsack DP over its slot multiplicities grows one
+    cardinality layer per k = 1..n-1; layer k is folded over the two halves
+    of the entries and the first left value whose complement is on the right
+    gives the witness.  The budget of k counts the DP states of layers 0..k
+    and the fold states of k.  Raises InvalidInputError for specs that
+    `validate_specs` rejects, and ResourceExceededError above size
+    MAX_RELATION_SIZE or past `state_budget`.
     """
     mode = validate_specs(specs)
     n = specs[0].n
     if n > MAX_RELATION_SIZE:
         raise ResourceExceededError(f"relation enumeration capped at size {MAX_RELATION_SIZE}")
+    per_entry: list[list] = [[] for _ in specs]
     for k in range(1, n):
-        budget = _StateBudget("relation search", k, state_budget)
-        per_entry = [_entry_values(s, k, budget) for s in specs]
-        half = len(per_entry) // 2
-        left = _fold_values(mode, per_entry[:half], budget)
-        right = _fold_values(mode, per_entry[half:], budget)
-        for value, witness_left in left.items():
-            need = -value if mode == "additive" else value.inverse()
-            hit = right.get(need)
-            if hit is not None:
-                return RelationWitness(k, witness_left + hit)
+        grown = sum(len(st) for layers in per_entry for stages in layers for st in stages[1:])
+        budget = _StateBudget("relation search", k, state_budget, used=grown)
+        for (left, _), (right, _) in _relation_pairs(mode, specs, per_entry, k, budget):
+            return RelationWitness(k, left + right)
     return None
 
 
@@ -234,41 +255,19 @@ def relation_selection_count(
     """Number of distinct selection-count tuples realizing a relation at `cardinality`.
 
     Selections are counted at the level of per-slot copy counts (index sets
-    with equal counts realize the same equality).
+    with equal counts realize the same equality).  The DP of `find_relation`
+    is grown to layer `cardinality` and folded over the two halves; the count
+    sums left number times right number over complementary values.  Raises
+    InvalidInputError for specs that `validate_specs` rejects or a
+    cardinality outside 1..n-1, and ResourceExceededError past `state_budget`.
     """
     mode = validate_specs(specs)
-    k = cardinality
-    budget = _StateBudget("relation counting", k, state_budget)
-    per_entry = []
-    for spec in specs:
-        counting: list[dict] = [dict() for _ in range(k + 1)]
-        counting[0][_identity(mode)] = 1
-        for ev, m in zip(spec.eigenvalues, spec.multiplicities()):
-            new_dp: list[dict] = [dict() for _ in range(k + 1)]
-            for t in range(k + 1):
-                for value, cnt in counting[t].items():
-                    for c in range(0, min(m, k - t) + 1):
-                        nv = _combine(mode, value, ev, c)
-                        bucket = new_dp[t + c]
-                        if nv not in bucket:
-                            budget.take()
-                            bucket[nv] = 0
-                        bucket[nv] += cnt
-            counting = new_dp
-        per_entry.append(counting[k])
-    acc = {_identity(mode): 1}
-    for d in per_entry:
-        new_acc: dict = {}
-        for v1, c1 in acc.items():
-            for v2, c2 in d.items():
-                nv = (v1 + v2) if mode == "additive" else (v1 * v2)
-                if nv not in new_acc:
-                    budget.take()
-                    new_acc[nv] = 0
-                new_acc[nv] += c1 * c2
-        acc = new_acc
-    target = _identity(specs[0].mode)
-    return acc.get(target, 0)
+    n = specs[0].n
+    if not isinstance(cardinality, int) or not 1 <= cardinality < n:
+        raise InvalidInputError(f"cardinality must be in 1..{n - 1}, got {cardinality!r}")
+    budget = _StateBudget("relation counting", cardinality, state_budget)
+    pairs = _relation_pairs(mode, specs, [[] for _ in specs], cardinality, budget)
+    return sum(left[1] * right[1] for left, right in pairs)
 
 
 def gcd_reduction(specs: Sequence[ClassSpec]) -> GcdReduction:

@@ -100,6 +100,12 @@ def min_shifted_rank_exact(jnf: Jnf) -> int:
 
 def naive_relation_exists(specs, cardinality: int) -> bool:
     """Exhaustive check for a relation at one cardinality (tiny sizes only)."""
+    return naive_relation_count(specs, cardinality) > 0
+
+
+def naive_relation_count(specs, cardinality: int) -> int:
+    """Number of per-entry copy-count choices, `cardinality` copies from every
+    entry, whose values sum to 0 (multiply to 1); exhaustive, tiny sizes only."""
     from dspkit.genericity import _combine, _identity
 
     mode = specs[0].mode
@@ -116,10 +122,10 @@ def naive_relation_exists(specs, cardinality: int) -> bool:
             options.append(value)
         per_entry.append(options)
     target = _identity(mode)
+    found = 0
     for combo in itertools.product(*per_entry):
         total = _identity(mode)
         for v in combo:
             total = (total + v) if mode == "additive" else (total * v)
-        if total == target:
-            return True
-    return False
+        found += total == target
+    return found

@@ -258,6 +258,45 @@ class TestRealize:
         )
         assert report["budget"]["seed"] == 123
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--restarts", "0", "--restarts must be at least 1, got 0"),
+            ("--iters", "-1", "--iters must be at least 1, got -1"),
+            ("--tol", "-1", "--tol must be positive, got -1.0"),
+            ("--jobs", "-3", "--jobs must be at least 1, got -3"),
+            ("--seed", "-1", "--seed must be in [0, 2**32), got -1"),
+            ("--seed", str(2**32), f"--seed must be in [0, 2**32), got {2**32}"),
+        ],
+    )
+    def test_bad_budget_exit2(self, capsys, flag, value, message):
+        code = main(["realize", str(FIXTURES / "pair_n2.json"), flag, value])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert message in captured.err
+
+    @pytest.mark.parametrize(
+        "env_seed, message",
+        [
+            ("abc", "DSPKIT_SEED must be an integer, got 'abc'"),
+            ("-1", "DSPKIT_SEED must be in [0, 2**32), got -1"),
+        ],
+    )
+    def test_bad_env_seed_exit2(self, capsys, monkeypatch, env_seed, message):
+        monkeypatch.setenv("DSPKIT_SEED", env_seed)
+        code = main(["realize", str(FIXTURES / "pair_n2.json")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert message in captured.err
+
+    def test_env_seed_ignored_by_exact_commands(self, capsys, monkeypatch):
+        monkeypatch.setenv("DSPKIT_SEED", "abc")
+        code, (report,) = run(capsys, "decide", str(FIXTURES / "pair_n2.json"))
+        assert code == 0
+        assert report["command"] == "decide"
+
 
 class TestEnumerateRigid:
     def test_n2(self, capsys):
@@ -337,6 +376,14 @@ class TestRoundTripAndBatch:
         assert reports[0]["verdict"] == "solvable"
         assert reports[1]["verdict"] == "not_applicable"
         assert reports[1]["input_path"].endswith("b_special.json")
+
+    @pytest.mark.parametrize("command", ["invariants", "decide", "generic", "classify"])
+    def test_jobs_below_one_exit2(self, capsys, command):
+        code = main([command, str(FIXTURES), "--jobs", "0"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "--jobs must be at least 1, got 0" in captured.err
 
     def test_empty_batch_exit2(self, capsys, tmp_path):
         code = main(["decide", str(tmp_path)])

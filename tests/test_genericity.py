@@ -1,5 +1,6 @@
 """Eigenvalue constraints, non-genericity relations, gcd reduction, sampler."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -25,7 +26,7 @@ from dspkit.decide import check_conditions
 from dspkit.jnf import Jnf, JnfTuple, Partition
 from dspkit.scalars import AdditiveScalar, MultiplicativeScalar
 
-from oracles import naive_relation_exists
+from oracles import naive_relation_count, naive_relation_exists
 
 ONE = MultiplicativeScalar.one()
 I_UNIT = MultiplicativeScalar(1, Fraction(1, 4))
@@ -148,6 +149,94 @@ class TestRelationCounting:
         assert relation_selection_count(nongeneric, 2) == 1
         assert relation_selection_count(nongeneric, 3) == 0
 
+    @pytest.mark.parametrize("cardinality", [-1, 0, 4, 5])
+    def test_cardinality_outside_1_to_n_minus_1_rejected(self, cardinality):
+        # n = 4: a relation takes k < n copies, and k = 0 selects nothing
+        with pytest.raises(InvalidInputError, match=r"cardinality must be in 1\.\.3, got "):
+            relation_selection_count(example41(MINUS_ONE), cardinality)
+
+
+def random_small_specs(rng, mode, forced):
+    """Random specs with n <= 5 and small exact eigenvalues drawn from a
+    short list, so that relations are frequent.
+
+    With `forced`, every multiplicity is even and the last eigenvalue is
+    solved from the global sum-0 / product-1 constraint, so halving every
+    multiplicity gives a relation at n/2.
+    """
+    n = rng.choice([2, 4]) if forced else rng.randint(2, 5)
+    entries = rng.randint(2, 4 if n <= 4 else 3)
+    mults = []
+    for _ in range(entries):
+        left, row = n, []
+        while left:
+            m = 2 * rng.randint(1, left // 2) if forced else rng.randint(1, left)
+            row.append(m)
+            left -= m
+        mults.append(row)
+    while True:
+        if mode == "additive":
+            values = [[AdditiveScalar(rng.randint(-2, 2), rng.choice([0, 0, 1])) for _ in row]
+                      for row in mults]
+        else:
+            moduli = [1] if forced else [1, 1, 2, Fraction(1, 2)]
+            values = [[MultiplicativeScalar(rng.choice(moduli), Fraction(rng.randint(0, 3), 4))
+                       for _ in row] for row in mults]
+        if forced:
+            pairs = [(m, v) for row, vals in zip(mults, values) for m, v in zip(row, vals)]
+            last = mults[-1][-1]
+            if mode == "additive":
+                total = sum((v.scale(m) for m, v in pairs[:-1]), AdditiveScalar.zero())
+                values[-1][-1] = AdditiveScalar(-total.re / last, -total.im / last)
+            else:
+                total = sum(m * v.arg for m, v in pairs[:-1])
+                values[-1][-1] = MultiplicativeScalar(1, -total / last)
+        if all(len(set(vals)) == len(vals) for vals in values):
+            break
+    specs = [
+        ClassSpec([(Partition([1] * m), v) for m, v in zip(row, vals)], mode)
+        for row, vals in zip(mults, values)
+    ]
+    assert not forced or check_evs(specs)
+    return specs
+
+
+class TestRelationOracle:
+    """The relation DP against brute force on small random specs."""
+
+    def test_counts_and_smallest_witness(self):
+        smallest = []
+        for seed in range(160):
+            rng = random.Random(seed)
+            mode = ("additive", "multiplicative")[seed % 2]
+            forced = seed % 4 >= 2
+            specs = random_small_specs(rng, mode, forced)
+            n = specs[0].n
+            counts = [naive_relation_count(specs, k) for k in range(1, n)]
+            assert [relation_selection_count(specs, k) for k in range(1, n)] == counts, seed
+            witness = find_relation(specs)
+            if witness is None:
+                assert not any(counts) and not forced, seed
+                smallest.append(None)
+                continue
+            k = witness.cardinality
+            assert not any(counts[: k - 1]) and counts[k - 1] > 0, seed
+            if forced:
+                assert k <= n // 2, seed
+            if mode == "additive":
+                value = AdditiveScalar.zero()
+            else:
+                value = MultiplicativeScalar.one()
+            for spec, sel in zip(specs, witness.selections):
+                assert len(sel) == spec.jnf.num_slots and sum(sel) == k, seed
+                for ev, c, m in zip(spec.eigenvalues, sel, spec.multiplicities()):
+                    assert 0 <= c <= m, seed
+                    value = value + ev.scale(c) if mode == "additive" else value * ev**c
+            assert value.is_zero() if mode == "additive" else value.is_one(), seed
+            smallest.append(k)
+        # the sample holds generic specs and smallest relations of several sizes
+        assert None in smallest and {1, 2, 3} <= set(smallest)
+
 
 class TestStateBudget:
     """A budget overrun names the cardinality k, the states used and the cap."""
@@ -158,6 +247,18 @@ class TestStateBudget:
         assert str(info.value) == (
             "relation search exceeded its state budget at cardinality k=1: "
             "4 states used, budget 3"
+        )
+
+    @pytest.mark.parametrize("state_budget, k", [(12, 2), (16, 3)])
+    def test_find_relation_past_k1(self, state_budget, k):
+        # example41(I_UNIT) has no relation; its search counts 12 states at
+        # k=1, 16 at k=2 and 20 at k=3, since the DP states of the smaller
+        # cardinalities count again at every k
+        with pytest.raises(ResourceExceededError) as info:
+            find_relation(example41(I_UNIT), state_budget=state_budget)
+        assert str(info.value) == (
+            f"relation search exceeded its state budget at cardinality k={k}: "
+            f"{state_budget + 1} states used, budget {state_budget}"
         )
 
     def test_relation_selection_count(self):
