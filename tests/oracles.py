@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from dspkit.jnf import Jnf
+from dspkit.jnf import Jnf, JnfTuple
 
 
 def jordan_matrix_exact(jnf: Jnf, eigenvalues=None) -> list[list[Fraction]]:
@@ -129,3 +129,49 @@ def naive_relation_count(specs, cardinality: int) -> int:
             total = (total + v) if mode == "additive" else (total * v)
         found += total == target
     return found
+
+
+def star_root_verdict(tup: JnfTuple) -> bool:
+    """Whether the star-quiver dimension vector of `tup` is a positive root.
+
+    By Kac's theorem and Crawley-Boevey (Duke Math. J. 118 (2003), Thm 1),
+    at generic eigenvalues an irreducible additive solution exists iff this
+    holds.  The vector has n at the centre; arm j lists the positive ranks of
+    prod_{l<=k} (A_j - xi_l), each eigenvalue repeated as often as its largest
+    block.  Decided by reflecting at any vertex i with (alpha, e_i) > 0: a
+    simple root is a root, a negative coordinate is not, and in the
+    fundamental region alpha is a root iff its support is connected.  Uses
+    only the Euler form, never the reduction it is checked against.
+    """
+    n = tup.n
+    alpha = [n]
+    nbrs: list[list[int]] = [[]]
+    for e in tup.entries:
+        rank, prev = n, 0
+        for s in e.slots:
+            for k in range(1, s.parts[0] + 1):
+                rank -= sum(1 for b in s.parts if b >= k)
+                if rank == 0:
+                    break
+                alpha.append(rank)
+                nbrs.append([prev])
+                nbrs[prev].append(len(alpha) - 1)
+                prev = len(alpha) - 1
+    while sum(alpha) != 1:
+        for i, a in enumerate(alpha):
+            pairing = 2 * a - sum(alpha[j] for j in nbrs[i])
+            if pairing > 0:
+                break
+        else:
+            support = {i for i, a in enumerate(alpha) if a}
+            seen, todo = set(), [min(support)]
+            while todo:
+                i = todo.pop()
+                if i not in seen:
+                    seen.add(i)
+                    todo.extend(j for j in nbrs[i] if j in support)
+            return seen == support
+        alpha[i] = a - pairing
+        if alpha[i] < 0:
+            return False
+    return True

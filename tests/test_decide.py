@@ -204,6 +204,43 @@ class TestTraceAgainstPlainTuples:
             checked += 1
 
 
+class TestRootSystemOracle:
+    """decide_generic agrees with the star-quiver root test (Kac;
+    Crawley-Boevey 2003, Thm 1), which shares no code with the reduction."""
+
+    def test_every_small_tuple(self):
+        import itertools
+
+        from dspkit.enumerate import all_jnfs
+        from oracles import star_root_verdict
+
+        seen = {True: 0, False: 0}
+        for n in range(1, 6):
+            for m in (2, 3, 4):
+                for combo in itertools.combinations_with_replacement(all_jnfs(n), m):
+                    tup = JnfTuple(combo)
+                    root = star_root_verdict(tup)
+                    assert (decide_generic(tup).verdict is Verdict.SOLVABLE) == root, tup
+                    seen[root] += 1
+        assert seen == {True: 29865, False: 4854}
+
+    def test_seeded_random_tuples(self):
+        """Beta holds at the start of these tuples and kappa is invariant, so
+        every not-solvable one stops on the beta re-gate after some steps."""
+        from oracles import star_root_verdict
+
+        rng = random.Random(5)
+        seen = {True: 0, False: 0}
+        while sum(seen.values()) < 3000:
+            tup = random_psi_defined_tuple(rng, max_n=12)
+            if tup is None:
+                continue
+            root = star_root_verdict(tup)
+            assert (decide_generic(tup).verdict is Verdict.SOLVABLE) == root, tup
+            seen[root] += 1
+        assert seen[True] and seen[False], seen
+
+
 class TestDecideWeakDistinct:
     def test_hypergeometric(self):
         rep = decide_weak_distinct(HYPER2)
