@@ -9,15 +9,24 @@ Implements the three integer conditions on a JNF tuple
 and the size-reducing construction on JNF tuples (choose per entry an
 eigenvalue with the maximal number of Jordan blocks, shrink its smallest
 blocks) whose iteration decides solvability at generic eigenvalues.
+`ReductionEngine` is the one implementation of that iteration: the
+default-choice trace behind `decide_generic` and the verdict over every
+choice of maximizer slots both run on its interned ids.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import InvalidChoiceError, NotApplicableError, PsiUndefinedError
+from .errors import (
+    ChoiceDependenceError,
+    InvalidChoiceError,
+    NotApplicableError,
+    PsiUndefinedError,
+)
 from .jnf import Jnf, JnfTuple, Partition, kappa_of
 
 __all__ = [
@@ -32,6 +41,7 @@ __all__ = [
     "maximizer_slots",
     "default_choice",
     "psi_step",
+    "ReductionEngine",
     "decide_generic",
     "is_distinct_eigenvalue_jnf",
     "decide_weak_distinct",
@@ -99,15 +109,6 @@ class DecisionReport:
     expected_moduli_dimension: Optional[int]
 
 
-def _defined(c: ConditionCheck) -> bool:
-    return c.n > 1 and c.alpha and c.beta and not c.omega
-
-
-def psi_defined(tup: JnfTuple) -> bool:
-    """The reduction step is defined iff alpha and beta hold, omega fails, n > 1."""
-    return _defined(check_conditions(tup))
-
-
 def maximizer_slots(jnf: Jnf) -> list[int]:
     """Canonical slot indices attaining the maximal Jordan-block count."""
     top = jnf.max_blocks
@@ -140,18 +141,157 @@ def _shrink_slot(jnf: Jnf, slot: int, count: int) -> Jnf:
     return Jnf(new_slots)
 
 
-def _step(tup: JnfTuple, chosen: Sequence[int], n1: int) -> JnfTuple:
-    """The reduction step on a tuple already gated as defined, with valid slots
-    `chosen` and reduced size n1 = sum r_j - n."""
-    n = tup.n
-    # beta guarantees n1 >= 1 and not-omega guarantees n1 < n; re-derive both
-    assert 1 <= n1 < n, f"reduced size out of range: n1={n1}, n={n}"
-    new_entries = []
-    for e, c in zip(tup.entries, chosen):
-        reduced = _shrink_slot(e, c, n - n1)
-        assert reduced.size == n1, f"entry shrank to {reduced.size}, expected {n1}"
-        new_entries.append(reduced)
-    return JnfTuple(new_entries)
+# enum members read through the class cost ~10x a global on 3.11; the sweeps
+# read these once per state
+_OMEGA = TerminationReason.OMEGA_HOLDS
+_N1 = TerminationReason.N_EQUALS_1
+_UNDEFINED = TerminationReason.PSI_UNDEFINED
+_SOLVABLE = Verdict.SOLVABLE
+_NOT_SOLVABLE = Verdict.NOT_SOLVABLE
+
+
+def _gate(n: int, r_sum: int, top_r: int, d_sum: int) -> int | TerminationReason:
+    """Why the reduction stops at a tuple of size n with these sums of r and
+    d and this largest r, or, where the step is defined, the number
+    n - n1 = 2n - sum r of smallest blocks it shrinks per entry.
+
+    The stops, in order: omega holds; n == 1; alpha or beta fails (the step
+    is undefined).  Beta bounds the count by every entry's largest block
+    count, and not-omega makes it positive.
+    """
+    if r_sum >= 2 * n:
+        return _OMEGA
+    if n == 1:
+        return _N1
+    if r_sum - top_r < n or d_sum < 2 * n * n - 2:
+        return _UNDEFINED
+    return 2 * n - r_sum
+
+
+def _tuple_gate(tup: JnfTuple) -> int | TerminationReason:
+    rs = [e.r for e in tup.entries]
+    return _gate(tup.n, sum(rs), max(rs), sum(e.d for e in tup.entries))
+
+
+class ReductionEngine:
+    """The reduction step on interned JNF ids.
+
+    Every distinct `Jnf` the engine meets gets one small int id.  Per id it
+    keeps the Jnf (`jnfs`), its `r` and `d` and, computed on first use,
+    the children over the distinct maximizer slots per shrink count.  A
+    state is a sequence of ids of one size, one per entry.  Every table, the
+    verdict memo included, lives as long as the engine: make one per job and
+    drop it after.
+    """
+
+    def __init__(self) -> None:
+        self._ids: dict[Jnf, int] = {}
+        self.jnfs: list[Jnf] = []
+        self.r: list[int] = []
+        self.d: list[int] = []
+        # id -> [shrink count] -> choices(id, count), None until first use;
+        # beta keeps the count within the entry's largest block count
+        self._kids: list[list[Optional[tuple[int, ...]]]] = []
+        self._verdicts: dict[tuple[int, ...], Verdict] = {}
+
+    def intern(self, jnf: Jnf) -> int:
+        """The id of `jnf`, assigned on first sight."""
+        got = self._ids.get(jnf)
+        if got is None:
+            got = self._ids[jnf] = len(self.jnfs)
+            self.jnfs.append(jnf)
+            self.r.append(jnf.r)
+            self.d.append(jnf.d)
+            self._kids.append([None] * (jnf.max_blocks + 1))
+        return got
+
+    def state(self, tup: JnfTuple) -> list[int]:
+        """The ids of the entries of `tup`, in entry order."""
+        return [self.intern(e) for e in tup.entries]
+
+    def gate(self, state: Sequence[int]) -> int | TerminationReason:
+        """Why the reduction stops at `state`, or the number of smallest
+        blocks the step shrinks per entry (the rule is `_gate`)."""
+        r, d = self.r, self.d
+        # Plain loop: on 3.11 a comprehension costs more than these few entries.
+        r_sum = d_sum = top_r = 0
+        for e in state:
+            r_e = r[e]
+            r_sum += r_e
+            d_sum += d[e]
+            if r_e > top_r:
+                top_r = r_e
+        return _gate(self.jnfs[state[0]].size, r_sum, top_r, d_sum)
+
+    def child(self, e: int, slot: int, count: int) -> int:
+        """Entry `e` with the `count` smallest blocks of `slot` shrunk by 1."""
+        return self.intern(_shrink_slot(self.jnfs[e], slot, count))
+
+    def choices(self, e: int, count: int) -> tuple[int, ...]:
+        """The children of entry `e` at one shrink count over every maximizer
+        slot, one per distinct slot partition (equal slots, equal children)."""
+        row = self._kids[e]
+        got = row[count]
+        if got is None:
+            jnf = self.jnfs[e]
+            firsts: dict[Partition, int] = {}
+            for i in maximizer_slots(jnf):
+                firsts.setdefault(jnf.slots[i], i)
+            got = row[count] = tuple(self.child(e, i, count) for i in firsts.values())
+        return got
+
+    def verdict(self, state: Sequence[int]) -> Verdict:
+        """The final verdict of the reduction from `state`, the same over
+        every choice of maximizer slots.
+
+        Solvable iff the reduction stops at omega or n == 1.  The verdicts of
+        children are memoized by sorted id state, the state's own is not, so
+        a sweep over many roots keeps only the states reached as children.
+        Raises ChoiceDependenceError as soon as two choice paths disagree.
+        """
+        count = self.gate(state)
+        if isinstance(count, TerminationReason):
+            return _NOT_SOLVABLE if count is _UNDEFINED else _SOLVABLE
+        kids = self._kids
+        options = []
+        for e in state:
+            got = kids[e][count]
+            options.append(self.choices(e, count) if got is None else got)
+        memo = self._verdicts
+        verdict = None
+        for combo in itertools.product(*options):
+            child = tuple(sorted(combo))
+            got = memo.get(child)
+            if got is None:
+                got = memo[child] = self.verdict(child)
+            if verdict is None:
+                verdict = got
+            elif got is not verdict:
+                tup = JnfTuple([self.jnfs[e] for e in state])
+                raise ChoiceDependenceError(
+                    f"choice paths disagree on {tup}: {verdict.value} vs {got.value}"
+                )
+        return verdict
+
+    def trace(self, tup: JnfTuple) -> PsiTrace:
+        """Run the reduction with the default tie-break until it stops.
+
+        Only the tuples the trace returns are built; the walk is on ids."""
+        state = self.state(tup)
+        steps: list[PsiStep] = []
+        while True:
+            count = self.gate(state)
+            if isinstance(count, TerminationReason):
+                return PsiTrace(tuple(steps), tup, count)
+            chosen = tuple(default_choice(self.jnfs[e]) for e in state)
+            steps.append(PsiStep(tup, chosen, tup.n - count))
+            state = [self.child(e, c, count) for e, c in zip(state, chosen)]
+            tup = JnfTuple([self.jnfs[e] for e in state])
+
+
+def psi_defined(tup: JnfTuple) -> bool:
+    """The reduction step is defined iff alpha and beta hold, omega fails, n > 1."""
+    return not isinstance(_tuple_gate(tup), TerminationReason)
 
 
 def psi_step(tup: JnfTuple, choice: Optional[Sequence[int]] = None) -> JnfTuple:
@@ -160,9 +300,12 @@ def psi_step(tup: JnfTuple, choice: Optional[Sequence[int]] = None) -> JnfTuple:
     Produces the tuple of size n1 = sum r_j - n obtained by decrementing, in
     each entry, the n - n1 smallest blocks of a slot with maximal block count.
     `choice` optionally fixes the chosen slot per entry; every chosen slot
-    must attain the maximal block count of its entry.
+    must attain the maximal block count of its entry.  Raises
+    PsiUndefinedError where the step is undefined and InvalidChoiceError for
+    a bad `choice`.
     """
-    if not _defined(check_conditions(tup)):
+    count = _tuple_gate(tup)
+    if isinstance(count, TerminationReason):
         raise PsiUndefinedError(
             "reduction step undefined: needs alpha and beta to hold, omega to fail, n > 1"
         )
@@ -177,27 +320,7 @@ def psi_step(tup: JnfTuple, choice: Optional[Sequence[int]] = None) -> JnfTuple:
                 raise InvalidChoiceError(
                     f"slot {c} of {e} does not attain the maximal block count"
                 )
-    return _step(tup, chosen, sum(e.r for e in tup.entries) - tup.n)
-
-
-def _iterate(tup: JnfTuple, conditions: ConditionCheck) -> PsiTrace:
-    """Run the reduction with the default tie-break until a stop condition.
-
-    `conditions` are those of `tup`; each later tuple is checked once."""
-    steps: list[PsiStep] = []
-    current, c = tup, conditions
-    while True:
-        if c.omega:
-            return PsiTrace(tuple(steps), current, TerminationReason.OMEGA_HOLDS)
-        if c.n == 1:
-            return PsiTrace(tuple(steps), current, TerminationReason.N_EQUALS_1)
-        if not _defined(c):
-            return PsiTrace(tuple(steps), current, TerminationReason.PSI_UNDEFINED)
-        chosen = tuple(default_choice(e) for e in current.entries)
-        n1 = sum(e.r for e in current.entries) - c.n
-        steps.append(PsiStep(current, chosen, n1))
-        current = _step(current, chosen, n1)
-        c = check_conditions(current)
+    return JnfTuple([_shrink_slot(e, c, count) for e, c in zip(tup.entries, chosen)])
 
 
 def decide_generic(tup: JnfTuple) -> DecisionReport:
@@ -208,22 +331,12 @@ def decide_generic(tup: JnfTuple) -> DecisionReport:
     is solvable by definition.  The step is re-gated on the current tuple at
     every iteration; a gate failure before a stop condition is not_solvable.
     """
-    conditions = check_conditions(tup)
+    trace = ReductionEngine().trace(tup)
     kappa = kappa_of(tup)
-    if tup.n == 1:
-        trace = PsiTrace((), tup, TerminationReason.N_EQUALS_1)
-        return DecisionReport(Verdict.SOLVABLE, conditions, kappa, trace, 2 - kappa)
-    if not conditions.beta:
-        trace = PsiTrace((), tup, TerminationReason.PSI_UNDEFINED)
-        return DecisionReport(Verdict.NOT_SOLVABLE, conditions, kappa, trace, None)
-    trace = _iterate(tup, conditions)
-    solvable = trace.termination_reason in (
-        TerminationReason.OMEGA_HOLDS,
-        TerminationReason.N_EQUALS_1,
-    )
+    solvable = trace.termination_reason is not _UNDEFINED
     return DecisionReport(
         Verdict.SOLVABLE if solvable else Verdict.NOT_SOLVABLE,
-        conditions,
+        check_conditions(tup),
         kappa,
         trace,
         2 - kappa if solvable else None,

@@ -17,6 +17,10 @@ class InvalidChoiceError(DspkitError):
     """A supplied eigenvalue-slot choice is not a block-count maximizer."""
 
 
+class ChoiceDependenceError(DspkitError):
+    """Two maximizer choice paths of the reduction reached different verdicts."""
+
+
 class NotApplicableError(DspkitError):
     """The requested decision does not apply to this input."""
 

@@ -1,223 +1,71 @@
-"""Fast exhaustive machinery for the reduction-choice sweeps.
+"""Enumeration for the exhaustive reduction-choice sweeps.
 
-A `Sweep` interns every entry it meets to a small int id, once.  An entry
-rep is a descending tuple of descending slot tuples (block sizes); per id
-the sweep keeps the entry's rep, size, r, z and, for every block count the
-step can shrink, the ids of the children, one per distinct maximizer slot
-value.  A state is a sorted tuple of ids, so the verdict memo hashes a few
-small ints instead of nested tuples.  Only states reached as children are
-memoized; the roots handed to `outcomes` are not, since the sweep never
-looks a root up again (a root that is also some larger root's child is
-memoized when it is reached as that child).
-
-Fidelity against the package's psi_step/decide_generic is asserted
-separately by the test suite before the fast engine's verdicts are trusted.
+The sweeps run on `dspkit.decide.ReductionEngine`: every entry is interned
+through the engine, a state is a sorted tuple of its ids, and the engine's
+`verdict` gives the all-choices verdict.  This module only enumerates the
+states, and recomputes one-step children with the package's `psi_step` so
+that the engine's children can be checked against them.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from dspkit.decide import maximizer_slots, psi_step
+from dspkit.decide import ReductionEngine, maximizer_slots, psi_step
 from dspkit.enumerate import all_jnfs
-from dspkit.jnf import Jnf, JnfTuple
-
-SOLVABLE = "solvable"
-NOT_SOLVABLE = "not_solvable"
+from dspkit.jnf import JnfTuple
 
 
-def entry_rep(jnf: Jnf) -> tuple:
-    return tuple(s.parts for s in jnf.slots)
+def children_via_psi_step(engine: ReductionEngine, tup: JnfTuple) -> set:
+    """All one-step children computed by `psi_step`, as sorted id states."""
+    per_entry = []
+    for e in tup.entries:
+        seen = {}
+        for idx in maximizer_slots(e):
+            seen.setdefault(e.slots[idx].parts, idx)
+        per_entry.append(sorted(seen.values()))
+    return {
+        tuple(sorted(engine.state(psi_step(tup, list(combo)))))
+        for combo in itertools.product(*per_entry)
+    }
 
 
-def rep_state(tup: JnfTuple) -> tuple:
-    """The tuple as a sorted tuple of entry reps (independent of any ids)."""
-    return tuple(sorted(entry_rep(e) for e in tup.entries))
-
-
-def entry_stats(entry: tuple):
-    """(size, r, z, distinct maximizer slot values) for one entry rep."""
-    size = sum(sum(slot) for slot in entry)
-    top = max(len(slot) for slot in entry)
-    z = sum((2 * i - 1) * b for slot in entry for i, b in enumerate(slot, start=1))
-    maximizers = tuple({slot: None for slot in entry if len(slot) == top})
-    return size, size - top, z, maximizers
-
-
-def shrink_entry(entry: tuple, chosen: tuple, count: int) -> tuple:
-    """Decrement the `count` smallest blocks of the chosen slot value."""
-    slots = list(entry)
-    slots.remove(chosen)
-    keep = len(chosen) - count
-    reduced = tuple(
-        sorted(
-            list(chosen[:keep]) + [b - 1 for b in chosen[keep:] if b > 1],
-            reverse=True,
-        )
-    )
-    if reduced:
-        slots.append(reduced)
-    if not slots:
-        raise ValueError("entry emptied")
-    return tuple(sorted(slots, reverse=True))
-
-
-class Sweep:
-    """Interned-id engine: per-entry tables plus the memo of child verdicts."""
-
-    def __init__(self):
-        self._ids: dict = {}
-        self.reps: list = []  # id -> entry rep
-        self.size: list = []
-        self.r: list = []
-        self.z: list = []
-        # id -> [count] -> child ids, one per distinct maximizer slot value
-        # (in entry_stats order), for every count that leaves the entry
-        # non-empty; index 0 is unused.
-        self.kids: list = []
-        self._memo: dict = {}
-
-    def intern(self, entry: tuple) -> int:
-        got = self._ids.get(entry)
-        if got is not None:
-            return got
-        size, r, z, maximizers = entry_stats(entry)
-        kids = [()] + [
-            tuple(self.intern(shrink_entry(entry, ch, count)) for ch in maximizers)
-            for count in range(1, min(size - r, size - 1) + 1)
-        ]
-        got = len(self.reps)
-        self._ids[entry] = got
-        self.reps.append(entry)
-        self.size.append(size)
-        self.r.append(r)
-        self.z.append(z)
-        self.kids.append(kids)
-        return got
-
-    def state_of(self, tup: JnfTuple) -> tuple:
-        return tuple(sorted(self.intern(entry_rep(e)) for e in tup.entries))
-
-    def rep_state(self, state: tuple) -> tuple:
-        """Map an id state back to its sorted tuple of entry reps."""
-        return tuple(sorted(self.reps[e] for e in state))
-
-    def tuple_of(self, state: tuple) -> JnfTuple:
-        return JnfTuple([Jnf([list(slot) for slot in self.reps[e]]) for e in state])
-
-    def step_count(self, state: tuple):
-        """The number of blocks the step shrinks per entry, or the final
-        verdict when the reduction stops at `state`.
-
-        Stops: solvable when omega holds or n == 1, not solvable when beta
-        fails or alpha (as the z bound) fails.
-        """
-        # Plain loops: on 3.11 a comprehension costs more than these few entries.
-        r, z = self.r, self.z
-        n = self.size[state[0]]
-        r_sum = z_sum = top_r = 0
-        for e in state:
-            r_e = r[e]
-            r_sum += r_e
-            z_sum += z[e]
-            if r_e > top_r:
-                top_r = r_e
-        if r_sum >= 2 * n or n == 1:
-            return SOLVABLE
-        if r_sum - top_r < n or z_sum > n * n * (len(state) - 2) + 2:
-            return NOT_SOLVABLE
-        return 2 * n - r_sum
-
-    def children(self, state: tuple) -> set:
-        """Every one-step child, over all maximizer choices."""
-        count = self.step_count(state)
-        assert isinstance(count, int), f"the step is undefined on {self.rep_state(state)}"
-        options = [self.kids[e][count] for e in state]
-        return {tuple(sorted(combo)) for combo in itertools.product(*options)}
-
-    def outcomes(self, state: tuple) -> str:
-        """The unique final verdict over every maximizer choice path.
-
-        The verdicts of children are memoized, the state's own is not.
-        Raises AssertionError as soon as two choice paths disagree.
-        """
-        count = self.step_count(state)
-        if isinstance(count, str):
-            return count
-        kids = self.kids
-        options = []
-        for e in state:
-            options.append(kids[e][count])
-        memo = self._memo
-        verdict = None
-        for combo in itertools.product(*options):
-            child = tuple(sorted(combo))
-            got = memo.get(child)
-            if got is None:
-                got = memo[child] = self.outcomes(child)
-            if verdict is None:
-                verdict = got
-            elif got != verdict:
-                raise AssertionError(
-                    f"choice paths disagree on {self.rep_state(state)}: {verdict} vs {got}"
-                )
-        return verdict
-
-    def children_via_psi_step(self, tup: JnfTuple) -> set:
-        """All one-step children computed by the package, as id states."""
-        per_entry = []
-        for e in tup.entries:
-            seen = {}
-            for idx in maximizer_slots(e):
-                seen.setdefault(e.slots[idx].parts, idx)
-            per_entry.append(sorted(seen.values()))
-        return {
-            self.state_of(psi_step(tup, list(combo)))
-            for combo in itertools.product(*per_entry)
-        }
-
-    def iter_psi_defined_states(self, n: int, entry_count: int):
-        """Every size-n multiset of `entry_count` JNFs on which the step is
-        defined, as id states."""
-        by_r: dict = {}
-        for j in all_jnfs(n):
-            e = self.intern(entry_rep(j))
-            by_r.setdefault(self.r[e], []).append(e)
-        for pool in by_r.values():  # rep order: the yield order does not depend on ids
-            pool.sort(key=self.reps.__getitem__)
-        z = self.z
-        # alpha as a z bound: sum z <= n^2 (m - 2) + 2
-        z_budget = n * n * (entry_count - 2) + 2
-        for rvec in itertools.combinations_with_replacement(
-            sorted(by_r, reverse=True), entry_count
-        ):
-            total_r = sum(rvec)
-            if total_r >= 2 * n or total_r - max(rvec) < n:
-                continue
-            groups: dict = {}
-            for r in rvec:
-                groups[r] = groups.get(r, 0) + 1
-            pools = [
-                [
-                    (sum(z[e] for e in part), part)
-                    for part in itertools.combinations_with_replacement(by_r[r], c)
-                ]
-                for r, c in sorted(groups.items())
+def iter_psi_defined_states(engine: ReductionEngine, n: int, entry_count: int):
+    """Every size-n multiset of `entry_count` JNFs on which the step is
+    defined, as sorted id states.  The yield order does not depend on ids."""
+    by_r: dict = {}
+    for j in sorted(all_jnfs(n), key=lambda j: tuple(s.parts for s in j.slots)):
+        by_r.setdefault(j.r, []).append(engine.intern(j))
+    # alpha as a centralizer bound: sum z <= n^2 (m - 2) + 2
+    z_budget = n * n * (entry_count - 2) + 2
+    for rvec in itertools.combinations_with_replacement(sorted(by_r, reverse=True), entry_count):
+        total_r = sum(rvec)
+        if total_r >= 2 * n or total_r - max(rvec) < n:
+            continue
+        groups: dict = {}
+        for r in rvec:
+            groups[r] = groups.get(r, 0) + 1
+        pools = [
+            [
+                (sum(engine.jnfs[e].z for e in part), part)
+                for part in itertools.combinations_with_replacement(by_r[r], c)
             ]
-            suffix_min = [0] * (len(pools) + 1)
-            for i in range(len(pools) - 1, -1, -1):
-                suffix_min[i] = suffix_min[i + 1] + min(item[0] for item in pools[i])
-            last = len(pools) - 1
+            for r, c in sorted(groups.items())
+        ]
+        suffix_min = [0] * (len(pools) + 1)
+        for i in range(len(pools) - 1, -1, -1):
+            suffix_min[i] = suffix_min[i + 1] + min(item[0] for item in pools[i])
+        last = len(pools) - 1
 
-            def rec(idx, z_sum, acc):
-                bound = z_budget - suffix_min[idx + 1] - z_sum
-                if idx == last:
-                    for z_part, part in pools[idx]:
-                        if z_part <= bound:
-                            yield tuple(sorted(acc + part))
-                    return
+        def rec(idx, z_sum, acc):
+            bound = z_budget - suffix_min[idx + 1] - z_sum
+            if idx == last:
                 for z_part, part in pools[idx]:
                     if z_part <= bound:
-                        yield from rec(idx + 1, z_sum + z_part, acc + part)
+                        yield tuple(sorted(acc + part))
+                return
+            for z_part, part in pools[idx]:
+                if z_part <= bound:
+                    yield from rec(idx + 1, z_sum + z_part, acc + part)
 
-            yield from rec(0, 0, ())
+        yield from rec(0, 0, ())

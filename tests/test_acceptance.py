@@ -26,10 +26,12 @@ from dspkit.classify import (
     special_case_tuple,
 )
 from dspkit.decide import (
+    ReductionEngine,
     TerminationReason,
     Verdict,
     check_conditions,
     decide_generic,
+    psi_defined,
     psi_step,
 )
 from dspkit.enumerate import all_jnfs, random_psi_defined_tuple
@@ -39,7 +41,7 @@ from dspkit.jnf import Jnf, JnfTuple, Partition, d_of, kappa_of, r_of, z_of
 from dspkit.oracle import SearchBudget, realize
 from dspkit.scalars import AdditiveScalar, MultiplicativeScalar
 
-from oracles import commutant_nullity_exact, jordan_matrix_exact
+from oracles import commutant_nullity_exact, jordan_matrix_exact, star_root_verdict
 import psi_sweep
 
 
@@ -369,42 +371,44 @@ def test_a11_choice_independence_exhaustive():
     (p <= 3) where the reduction is defined: all choice paths give one final
     verdict.
 
-    The sweep runs on the interned-id engine of psi_sweep: each entry is
-    interned to a small int once, a state is a sorted tuple of ids, and only
-    the states reached as children are memoized, never the roots.  Its gate,
-    children and verdicts are first checked against psi_step/decide_generic
-    on a seeded sample, then the exhaustive sweep asserts a unique verdict
-    per tuple (outcomes() raises on any disagreement).
+    The sweep runs on the package's ReductionEngine: each entry is interned
+    to a small int once, a state is a sorted tuple of ids, and only the
+    states reached as children are memoized, never the roots.  On a seeded
+    sample its children are first checked against psi_step and its verdicts
+    against decide_generic and the star-quiver root oracle, then the
+    exhaustive sweep asserts a unique verdict per tuple (verdict() raises
+    ChoiceDependenceError on any disagreement).
     """
     with _Timer("A11 reduction-choice independence (n <= 8, p <= 3)", 60):
-        sweep = psi_sweep.Sweep()
+        engine = ReductionEngine()
         rng = random.Random(11)
         fidelity_checked = 0
         for n in range(2, 9):
             for m in (3, 4):
                 sampled = []
-                for state in sweep.iter_psi_defined_states(n, m):
+                for state in psi_sweep.iter_psi_defined_states(engine, n, m):
                     if rng.random() < 0.02:
                         sampled.append(state)
                     if len(sampled) >= 30:
                         break
                 for state in sampled:
-                    tup = sweep.tuple_of(state)
-                    from dspkit.decide import psi_defined
-
+                    tup = JnfTuple([engine.jnfs[e] for e in state])
                     assert psi_defined(tup)
-                    assert sweep.children(state) == sweep.children_via_psi_step(tup)
-                    fast = sweep.outcomes(state)
-                    slow = decide_generic(tup).verdict
-                    assert (slow is Verdict.SOLVABLE) == (fast == psi_sweep.SOLVABLE)
+                    count = engine.gate(state)
+                    options = [engine.choices(e, count) for e in state]
+                    children = {tuple(sorted(c)) for c in itertools.product(*options)}
+                    assert children == psi_sweep.children_via_psi_step(engine, tup)
+                    fast = engine.verdict(state)
+                    assert fast is decide_generic(tup).verdict
+                    assert (fast is Verdict.SOLVABLE) == star_root_verdict(tup)
                     fidelity_checked += 1
         assert fidelity_checked >= 200
 
         roots = 0
         for n in range(2, 9):
             for m in (3, 4):
-                for state in sweep.iter_psi_defined_states(n, m):
-                    sweep.outcomes(state)  # raises on any disagreement
+                for state in psi_sweep.iter_psi_defined_states(engine, n, m):
+                    engine.verdict(state)  # raises on any disagreement
                     roots += 1
         assert roots == 4_323_249
         print(f"  A11 swept {roots} reduction-defined tuples")

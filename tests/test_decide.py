@@ -18,6 +18,8 @@ from dspkit.enumerate import random_psi_defined_tuple
 from dspkit.errors import InvalidChoiceError, NotApplicableError, PsiUndefinedError
 from dspkit.jnf import Jnf, JnfTuple, kappa_of
 
+from oracles import star_root_verdict
+
 
 def diag(*mults):
     return Jnf([[1] * m for m in mults])
@@ -160,8 +162,11 @@ def _plain(tup):
     return tuple(tuple(s.parts for s in e.slots) for e in tup.entries)
 
 
-def _assert_trace_matches(tup):
+def _assert_trace_matches(tup) -> bool:
+    """Check the trace and the verdict of `tup`; returns the verdict."""
     report = decide_generic(tup)
+    root = star_root_verdict(tup)
+    assert (report.verdict is Verdict.SOLVABLE) == root, tup
     steps, terminal, reason = _plain_trace(_plain(tup))
     got = [(_plain(s.input), s.chosen_slots, s.n1) for s in report.trace.steps]
     assert got == steps, tup
@@ -171,73 +176,41 @@ def _assert_trace_matches(tup):
         for e in step.input.entries:
             top = max(len(s.parts) for s in e.slots)
             assert maximizer_slots(e) == [i for i, s in enumerate(e.slots) if len(s.parts) == top]
+    return root
 
 
 class TestTraceAgainstPlainTuples:
-    """decide_generic traces equal a recomputation on plain int tuples."""
+    """decide_generic traces equal a recomputation on plain int tuples, and
+    its verdicts equal the star-quiver root test (Kac; Crawley-Boevey 2003,
+    Thm 1), which shares no code with the reduction."""
 
     def test_every_small_reduction_defined_tuple(self):
+        """Every tuple with n <= 5 and 2-4 entries, reduction-defined or not."""
         import itertools
 
         from dspkit.enumerate import all_jnfs
-
-        checked = 0
-        for n in range(2, 6):
-            jnfs = all_jnfs(n)
-            for m in (3, 4):
-                for combo in itertools.combinations_with_replacement(jnfs, m):
-                    tup = JnfTuple(combo)
-                    steps, _, _ = _plain_trace(_plain(tup))
-                    if steps:  # the reduction step is defined on tup itself
-                        _assert_trace_matches(tup)
-                        checked += 1
-        assert checked == 5552
-
-    def test_seeded_random_tuples(self):
-        rng = random.Random(4)
-        checked = 0
-        while checked < 2000:
-            tup = random_psi_defined_tuple(rng, max_n=12)
-            if tup is None:
-                continue
-            _assert_trace_matches(tup)
-            checked += 1
-
-
-class TestRootSystemOracle:
-    """decide_generic agrees with the star-quiver root test (Kac;
-    Crawley-Boevey 2003, Thm 1), which shares no code with the reduction."""
-
-    def test_every_small_tuple(self):
-        import itertools
-
-        from dspkit.enumerate import all_jnfs
-        from oracles import star_root_verdict
 
         seen = {True: 0, False: 0}
+        defined = 0
         for n in range(1, 6):
             for m in (2, 3, 4):
                 for combo in itertools.combinations_with_replacement(all_jnfs(n), m):
                     tup = JnfTuple(combo)
-                    root = star_root_verdict(tup)
-                    assert (decide_generic(tup).verdict is Verdict.SOLVABLE) == root, tup
-                    seen[root] += 1
+                    seen[_assert_trace_matches(tup)] += 1
+                    defined += m > 2 and psi_defined(tup)
         assert seen == {True: 29865, False: 4854}
+        assert defined == 5552
 
     def test_seeded_random_tuples(self):
         """Beta holds at the start of these tuples and kappa is invariant, so
         every not-solvable one stops on the beta re-gate after some steps."""
-        from oracles import star_root_verdict
-
-        rng = random.Random(5)
+        rng = random.Random(4)
         seen = {True: 0, False: 0}
-        while sum(seen.values()) < 3000:
+        while sum(seen.values()) < 2000:
             tup = random_psi_defined_tuple(rng, max_n=12)
             if tup is None:
                 continue
-            root = star_root_verdict(tup)
-            assert (decide_generic(tup).verdict is Verdict.SOLVABLE) == root, tup
-            seen[root] += 1
+            seen[_assert_trace_matches(tup)] += 1
         assert seen[True] and seen[False], seen
 
 
@@ -303,70 +276,57 @@ class TestRandomProperties:
         multisets (elementwise, against a naive psi_defined filter)."""
         import itertools
 
+        from dspkit.decide import ReductionEngine
         from dspkit.enumerate import all_jnfs
         from dspkit.jnf import JnfTuple
-        from psi_sweep import Sweep, rep_state
+        from psi_sweep import iter_psi_defined_states
 
-        sweep = Sweep()
+        engine = ReductionEngine()
         for n in range(2, 6):
             for m in (3, 4):
-                fast = {sweep.rep_state(s) for s in sweep.iter_psi_defined_states(n, m)}
+                fast = list(iter_psi_defined_states(engine, n, m))
                 naive = {
-                    rep_state(tup)
+                    tuple(sorted(engine.state(tup)))
                     for combo in itertools.combinations_with_replacement(all_jnfs(n), m)
                     for tup in [JnfTuple(combo)]
                     if psi_defined(tup)
                 }
-                assert fast == naive, (n, m)
+                assert len(fast) == len(set(fast)) and set(fast) == naive, (n, m)
 
     def test_regating_never_changes_small_verdicts(self):
         """Recorder: re-gating beta at every step versus checking it only at
         the start gives identical verdicts on every reduction-defined tuple
         of size <= 6 (same slot-choice rule in both variants); any difference
         would be reported here."""
-        from functools import cache
+        from dspkit.decide import ReductionEngine
+        from psi_sweep import iter_psi_defined_states
 
-        import psi_sweep
-
-        # Rep-level helpers, cached for this test only: many walks share entries.
-        entry_stats = cache(psi_sweep.entry_stats)
-        shrink_entry = cache(psi_sweep.shrink_entry)
+        engine = ReductionEngine()
+        r, d = engine.r, engine.d
 
         def walk(state, regate_beta):
-            stats = [entry_stats(e) for e in state]
-            n = stats[0][0]
-            r_sum = sum(s[1] for s in stats)
-            if any(r_sum - s[1] < n for s in stats):
-                return "not_solvable"
+            # beta holds at the start: every state swept here is reduction-defined
             while True:
-                stats = [entry_stats(e) for e in state]
-                n = stats[0][0]
-                r_sum = sum(s[1] for s in stats)
-                if r_sum >= 2 * n or n == 1:
+                count = engine.gate(state)
+                if count in (TerminationReason.OMEGA_HOLDS, TerminationReason.N_EQUALS_1):
                     return "solvable"
-                if regate_beta and any(r_sum - s[1] < n for s in stats):
-                    return "not_solvable"
-                if sum(s[2] for s in stats) > n * n * (len(state) - 2) + 2:
-                    return "not_solvable"
-                n1 = r_sum - n
-                if n1 < 1 or any(n - n1 > len(s[3][0]) for s in stats):
-                    return "not_solvable"
-                state = tuple(
-                    sorted(
-                        shrink_entry(e, s[3][0], n - n1)
-                        for e, s in zip(state, stats)
-                    )
-                )
+                if count is TerminationReason.PSI_UNDEFINED:
+                    n = engine.jnfs[state[0]].size
+                    if regate_beta or sum(d[e] for e in state) < 2 * n * n - 2:
+                        return "not_solvable"
+                    # without beta, step on while each entry has the blocks to shrink
+                    count = 2 * n - sum(r[e] for e in state)
+                    if count >= n or any(count > n - r[e] for e in state):
+                        return "not_solvable"
+                state = [engine.choices(e, count)[0] for e in state]
 
-        sweep = psi_sweep.Sweep()
         differences = []
         for n in range(2, 7):
             for m in (3, 4):
-                for ids in sweep.iter_psi_defined_states(n, m):
-                    state = sweep.rep_state(ids)
+                for state in iter_psi_defined_states(engine, n, m):
                     if walk(state, True) != walk(state, False):
-                        differences.append(state)
+                        differences.append(JnfTuple([engine.jnfs[e] for e in state]))
         print(f"re-gating changed {len(differences)} verdicts (size <= 6)")
-        for state in differences[:20]:
-            print("  differs:", state)
+        for tup in differences[:20]:
+            print("  differs:", tup)
         assert not differences
