@@ -116,53 +116,51 @@ class SpecialCaseTag:
     k: Optional[int]
 
 
-def _uniform(size: int, count: int) -> Jnf:
-    return Jnf([Partition((size,) * count)])
-
-
-# (kind, entry count, block size per entry, n divisor); entries hold blocks of
+# (block size per entry, n divisor) per special row; entries hold blocks of
 # one size each, all attached to a single eigenvalue
 _SPECIAL_ROWS = {
-    SpecialKind.SPECIAL_A: (4, (2, 2, 2, 2), 2),
-    SpecialKind.SPECIAL_B: (3, (3, 3, 3), 3),
-    SpecialKind.SPECIAL_C: (3, (4, 4, 2), 4),
-    SpecialKind.SPECIAL_D: (3, (6, 3, 2), 6),
+    SpecialKind.SPECIAL_A: ((2, 2, 2, 2), 2),
+    SpecialKind.SPECIAL_B: ((3, 3, 3), 3),
+    SpecialKind.SPECIAL_C: ((4, 4, 2), 4),
+    SpecialKind.SPECIAL_D: ((6, 3, 2), 6),
 }
+# each almost-special row splits one pair of largest blocks of its special row
+_ALMOST_ROWS = {
+    SpecialKind.ALMOST_A: SpecialKind.SPECIAL_A,
+    SpecialKind.ALMOST_B: SpecialKind.SPECIAL_B,
+    SpecialKind.ALMOST_C: SpecialKind.SPECIAL_C,
+    SpecialKind.ALMOST_D: SpecialKind.SPECIAL_D,
+}
+
+
+def _row_blocks(kind: SpecialKind, k: int) -> tuple[tuple[int, ...], ...]:
+    """Descending block list per entry of a special or almost-special row at
+    n = divisor * k; the first entry of largest block size l carries the
+    split pair l+1, l-1 in an almost-special row."""
+    base = _ALMOST_ROWS.get(kind, kind)
+    sizes, divisor = _SPECIAL_ROWS[base]
+    n = divisor * k
+    blocks = [(size,) * (n // size) for size in sizes]
+    if base is not kind:
+        l_max = max(sizes)
+        blocks[sizes.index(l_max)] = (l_max + 1,) + (l_max,) * (n // l_max - 2) + (l_max - 1,)
+    return tuple(blocks)
 
 
 def special_case_tuple(kind: SpecialKind, k: int) -> JnfTuple:
     """Equal-block-size tuple of the given special row at parameter k >= 1."""
     if kind not in _SPECIAL_ROWS:
         raise InvalidInputError(f"not a special row: {kind}")
-    count, sizes, divisor = _SPECIAL_ROWS[kind]
-    n = divisor * k
-    return JnfTuple([_uniform(size, n // size) for size in sizes])
+    return JnfTuple([Jnf([blocks]) for blocks in _row_blocks(kind, k)])
 
 
 def almost_special_tuple(kind: SpecialKind, k: int) -> JnfTuple:
     """Special row with one pair of largest blocks split into sizes l+1, l-1."""
-    base = {
-        SpecialKind.ALMOST_A: SpecialKind.SPECIAL_A,
-        SpecialKind.ALMOST_B: SpecialKind.SPECIAL_B,
-        SpecialKind.ALMOST_C: SpecialKind.SPECIAL_C,
-        SpecialKind.ALMOST_D: SpecialKind.SPECIAL_D,
-    }.get(kind)
-    if base is None:
+    if kind not in _ALMOST_ROWS:
         raise InvalidInputError(f"not an almost-special row: {kind}")
     if k < 2:
         raise InvalidInputError("almost-special rows need k > 1")
-    count, sizes, divisor = _SPECIAL_ROWS[base]
-    n = divisor * k
-    l_max = max(sizes)
-    entries = []
-    replaced = False
-    for size in sizes:
-        blocks = [size] * (n // size)
-        if size == l_max and not replaced:
-            blocks = [l_max + 1, l_max - 1] + [l_max] * (n // l_max - 2)
-            replaced = True
-        entries.append(Jnf([Partition(blocks)]))
-    return JnfTuple(entries)
+    return JnfTuple([Jnf([blocks]) for blocks in _row_blocks(kind, k)])
 
 
 def match_special(tup: JnfTuple) -> SpecialCaseTag:
@@ -174,38 +172,13 @@ def match_special(tup: JnfTuple) -> SpecialCaseTag:
     if not all(e.num_slots == 1 for e in tup.entries):
         return SpecialCaseTag(SpecialKind.NONE, None)
     n = tup.n
-    got = sorted(tuple(e.slots[0].parts) for e in tup.entries)
-    for kind, (count, sizes, divisor) in _SPECIAL_ROWS.items():
+    got = sorted(e.slots[0].parts for e in tup.entries)
+    for kind in (*_SPECIAL_ROWS, *_ALMOST_ROWS):
+        sizes, divisor = _SPECIAL_ROWS[_ALMOST_ROWS.get(kind, kind)]
         k = n // divisor
-        if len(tup.entries) != count or n % divisor != 0 or k < 2:
-            continue
-        want = sorted(((size,) * (n // size) for size in sizes))
-        if got == want:
-            return SpecialCaseTag(kind, k)
-    almost = {
-        SpecialKind.ALMOST_A: SpecialKind.SPECIAL_A,
-        SpecialKind.ALMOST_B: SpecialKind.SPECIAL_B,
-        SpecialKind.ALMOST_C: SpecialKind.SPECIAL_C,
-        SpecialKind.ALMOST_D: SpecialKind.SPECIAL_D,
-    }
-    for kind, base in almost.items():
-        count, sizes, divisor = _SPECIAL_ROWS[base]
-        k = n // divisor
-        if len(tup.entries) != count or n % divisor != 0 or k < 2:
-            continue
-        l_max = max(sizes)
-        want = []
-        replaced = False
-        for size in sizes:
-            if size == l_max and not replaced:
-                want.append(
-                    tuple(sorted([l_max + 1, l_max - 1] + [l_max] * (n // l_max - 2), reverse=True))
-                )
-                replaced = True
-            else:
-                want.append((size,) * (n // size))
-        if got == sorted(want):
-            return SpecialCaseTag(kind, k)
+        if len(got) == len(sizes) and n % divisor == 0 and k >= 2:
+            if got == sorted(_row_blocks(kind, k)):
+                return SpecialCaseTag(kind, k)
     return SpecialCaseTag(SpecialKind.NONE, None)
 
 

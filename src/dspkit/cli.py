@@ -161,10 +161,21 @@ def _cmd_classify(problem, args) -> tuple[dict, int]:
     return report, 0
 
 
+def _read_json(path) -> object:
+    """The JSON document in a file; a file that cannot be read or parsed is
+    invalid input."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise InvalidInputError(f"{path}: cannot read: {exc.strerror or exc}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise InvalidInputError(f"{path}: not valid JSON: {exc}") from exc
+
+
 def _load_warm_start(path: str):
-    with open(path) as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict) or "conjugators" not in data:
+    data = _read_json(path)
+    if not isinstance(data, dict) or not isinstance(data.get("conjugators"), list):
         raise InvalidInputError("warm-start file needs a 'conjugators' field")
     return tuple(matrix_from_json(m) for m in data["conjugators"])
 
@@ -269,12 +280,7 @@ _HANDLERS = {
 
 
 def _run_one(command: str, path: Path, args) -> tuple[dict, int]:
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise InvalidInputError(f"{path}: not valid JSON: {exc}") from exc
-    problem = parse_problem(data)
+    problem = parse_problem(_read_json(path))
     report, code = _HANDLERS[command](problem, args)
     report["input_path"] = str(path)
     return report, code

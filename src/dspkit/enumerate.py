@@ -8,6 +8,7 @@ from functools import lru_cache
 from typing import Iterator, Optional
 
 from .decide import psi_defined
+from .errors import InvalidInputError
 from .jnf import Jnf, JnfTuple, Partition, kappa_of
 
 __all__ = [
@@ -92,7 +93,14 @@ def enumerate_rigid_diagonal(n: int, p: int) -> list[JnfTuple]:
 
 def random_jnf(n: int, rng: random.Random, max_blocks: Optional[int] = None) -> Jnf:
     """Random JNF of size n; max_blocks, when given, pins the largest slot
-    block count (hence r = n - max_blocks)."""
+    block count (hence r = n - max_blocks).
+
+    Raises InvalidInputError when n < 1 or max_blocks is outside 1..n.
+    """
+    if n < 1:
+        raise InvalidInputError(f"a JNF needs size n >= 1, got {n}")
+    if max_blocks is not None and not 1 <= max_blocks <= n:
+        raise InvalidInputError(f"max_blocks must be in 1..{n}, got {max_blocks}")
     if max_blocks is None:
         max_blocks = rng.randint(1, n)
     s = max_blocks

@@ -178,7 +178,10 @@ def matrix_json(mat: np.ndarray) -> list:
 
 
 def matrix_from_json(data) -> np.ndarray:
-    arr = np.array(data, dtype=float)
+    try:
+        arr = np.array(data, dtype=float)
+    except (TypeError, ValueError) as exc:  # ragged rows, non-numbers
+        raise InvalidInputError("matrix JSON must be rows of [re, im] pairs") from exc
     if arr.ndim != 3 or arr.shape[2] != 2:
         raise InvalidInputError("matrix JSON must be rows of [re, im] pairs")
     return arr[..., 0] + 1j * arr[..., 1]

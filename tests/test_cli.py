@@ -298,6 +298,26 @@ class TestRealize:
         assert report["command"] == "decide"
 
 
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (None, "cannot read: No such file or directory"),
+            ("{nope", "not valid JSON"),
+            ('{"conjugators": 3}', "warm-start file needs a 'conjugators' field"),
+            ('{"conjugators": [[[[1, 0], [0]]]]}', "matrix JSON must be rows of [re, im] pairs"),
+        ],
+    )
+    def test_bad_warm_start_exit2(self, capsys, tmp_path, content, message):
+        warm = tmp_path / "qs.json"
+        if content is not None:
+            warm.write_text(content)
+        code = main(["realize", str(FIXTURES / "strata_n2.json"), "--warm-start", str(warm)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert message in captured.err
+
+
 class TestEnumerateRigid:
     def test_n2(self, capsys):
         code, (report,) = run(capsys, "enumerate-rigid", "--n", "2", "--p", "2")
@@ -393,3 +413,21 @@ class TestRoundTripAndBatch:
         bad = tmp_path / "bad.json"
         bad.write_text("{nope")
         assert main(["decide", str(bad)]) == 2
+
+    def test_missing_file_exit2(self, capsys, tmp_path):
+        code = main(["decide", str(tmp_path / "missing.json")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "missing.json: cannot read: No such file or directory" in captured.err
+
+    def test_batch_keeps_going_past_unreadable_entry(self, capsys, tmp_path):
+        for name in ("a.json", "c.json"):
+            (tmp_path / name).write_text((FIXTURES / "hypergeometric_n2.json").read_text())
+        (tmp_path / "b.json").mkdir()
+        code = main(["decide", str(tmp_path)])
+        captured = capsys.readouterr()
+        reports = [json.loads(line) for line in captured.out.splitlines()]
+        assert code == 2
+        assert [Path(r["input_path"]).name for r in reports] == ["a.json", "c.json"]
+        assert "b.json: cannot read: Is a directory" in captured.err

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import random
 
 import pytest
 
@@ -19,7 +20,7 @@ from dspkit.jnf import (
     r_of,
     z_of,
 )
-from dspkit.enumerate import all_jnfs
+from dspkit.enumerate import all_jnfs, random_jnf
 
 from oracles import commutant_nullity_exact, jordan_matrix_exact, min_shifted_rank_exact
 
@@ -248,3 +249,17 @@ class TestSubordination:
         assert power_rank(Partition([2, 2]), 2, 4) == 0
         assert power_rank(Partition([3, 1]), 1, 4) == 2
         assert power_rank(Partition([3, 1]), 2, 4) == 1
+
+
+class TestRandomJnf:
+    def test_pins_max_blocks(self):
+        rng = random.Random(0)
+        for n in range(1, 7):
+            for top in range(1, n + 1):
+                jnf = random_jnf(n, rng, max_blocks=top)
+                assert (jnf.size, jnf.max_blocks) == (n, top)
+
+    @pytest.mark.parametrize("n, max_blocks", [(3, 4), (3, 0), (3, -1), (0, None)])
+    def test_out_of_range_rejected(self, n, max_blocks):
+        with pytest.raises(InvalidInputError):
+            random_jnf(n, random.Random(0), max_blocks=max_blocks)
