@@ -57,7 +57,15 @@ from .jnf import (
     r_of,
     z_of,
 )
-from .oracle import RealizationResult, SearchBudget, realize
 from .scalars import AdditiveScalar, MultiplicativeScalar, format_scalar, parse_scalar
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    """The numeric oracle's names, imported on first use: only they need numpy."""
+    if name in ("RealizationResult", "SearchBudget", "realize"):
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

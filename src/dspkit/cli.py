@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import classify as cls
@@ -29,7 +28,6 @@ from .errors import (
 )
 from .genericity import check_evs, check_generalized_beta, find_relation, gcd_reduction
 from .jnf import invariant_summary, kappa_of
-from .oracle import SearchBudget, backend_name, realize
 from .report import (
     SCHEMA_VERSION,
     base_report,
@@ -210,6 +208,12 @@ def _check_budget_args(args) -> None:
 
 def _cmd_realize(problem, args) -> tuple[dict, int]:
     specs = problem.require_specs("realize")
+    # One BLAS thread unless the caller chose a count, set before numpy loads:
+    # with one per core, realize ran 10-20x slower next to a busy process.
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(var, "1")
+    from .oracle import SearchBudget, backend_name, realize
+
     seed = _realize_seed(args)
     warm = _load_warm_start(args.warm_start) if args.warm_start else None
     budget = SearchBudget(
@@ -298,24 +302,16 @@ def _dispatch(args) -> int:
         if not files:
             raise InvalidInputError(f"no *.json problems under {target}")
         worst = 0
-
-        def run(path):
+        for path in files:
             try:
-                return _run_one(args.command, path, args)
+                report, code = _run_one(args.command, path, args)
             except DspkitError as exc:
-                return exc, None
-
-        if args.jobs > 1:
-            with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-                outcomes = list(pool.map(run, files))
-        else:
-            outcomes = [run(path) for path in files]
-        for path, (report, code) in zip(files, outcomes):
-            if code is None:
-                exc = report
-                exc_code = _code_of(exc)
-                print(f"{path}: {exc}", file=sys.stderr)
-                if exc_code == 3:
+                code = _code_of(exc)
+                message = str(exc)  # a read error already starts with the path
+                if not message.startswith(f"{path}: "):
+                    message = f"{path}: {message}"
+                print(message, file=sys.stderr)
+                if code == 3:
                     print(
                         json.dumps(
                             {
@@ -327,7 +323,7 @@ def _dispatch(args) -> int:
                             }
                         )
                     )
-                worst = max(worst, exc_code)
+                worst = max(worst, code)
                 continue
             print(json.dumps(report))
             worst = max(worst, code)
@@ -356,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_input(p):
         p.add_argument("input", help="problem JSON file, or a directory for batch mode")
-        p.add_argument("--jobs", type=int, default=1, help="worker pool size (default 1)")
+        p.add_argument("--jobs", type=int, default=1, help="echoed by realize; starts no threads")
 
     add_input(sub.add_parser("invariants", help="per-class r, d, z and the rigidity index"))
 

@@ -9,7 +9,6 @@ to find a witness is reported as None, never as a nonexistence claim.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -28,6 +27,10 @@ MAX_ENTRIES = 6
 
 @dataclass(frozen=True)
 class SearchBudget:
+    """Limits and tolerances of one search.  `jobs` starts no threads: it is
+    kept for existing callers and the report's echo, and restarts always run
+    one at a time in index order."""
+
     restarts: int = 50
     iters: int = 200
     seed: int = 0
@@ -94,8 +97,7 @@ def _residual_of(G, Q, multiplicative: bool) -> tuple[np.ndarray, float]:
     return A, float(np.linalg.norm(F))
 
 
-def _run_restart(args):
-    G, multiplicative, budget, index = args
+def _run_restart(G, multiplicative: bool, budget: SearchBudget, index: int):
     m, n, _ = G.shape
     if budget.warm_start is not None and index == 0:
         Q0 = np.ascontiguousarray(np.array(budget.warm_start, dtype=np.complex128))
@@ -106,15 +108,15 @@ def _run_restart(args):
     stop_tol = budget.residual_tol * 1e-4
     Q, _, _ = gn_numpy.run(G, Q0, multiplicative, budget.iters, stop_tol)
     conds = [float(np.linalg.cond(Q[j])) for j in range(m)]
-    return index, Q, max(conds)
+    return Q, max(conds)
 
 
 def realize(specs: Sequence[ClassSpec], budget: SearchBudget = SearchBudget()):
     """Search for a certified realization; None when the budget is exhausted.
 
     Certification recomputes the residual and all certificates independently
-    of the Gauss-Newton kernel.  Restarts are independent, seeded by
-    (seed, restart_index); the first certified restart by index wins.
+    of the Gauss-Newton kernel.  Restarts run in index order, each seeded by
+    (seed, restart_index); the first certified restart is returned.
     """
     mode = validate_specs(specs)
     multiplicative = mode == "multiplicative"
@@ -127,13 +129,18 @@ def realize(specs: Sequence[ClassSpec], budget: SearchBudget = SearchBudget()):
     numeric = [NumericClass.from_spec(s, budget.rank_tol, budget.eig_tol) for s in specs]
     G = np.array([nc.jordan_matrix for nc in numeric])
 
-    def certify(index: int, Q: np.ndarray) -> RealizationResult:
+    all_over_cap = True
+    for index in range(budget.restarts):
+        Q, cond_max = _run_restart(G, multiplicative, budget, index)
+        if cond_max <= budget.cond_cap:
+            all_over_cap = False
         A, residual = _residual_of(G, Q, multiplicative)
         membership = all(numeric[j].membership(A[j]) for j in range(m))
-        certified = residual < budget.residual_tol and membership
+        if not (residual < budget.residual_tol and membership):
+            continue
         bdim = burnside_dim(list(A), budget.rank_tol)
         nullity = centralizer_nullity(list(A), budget.rank_tol)
-        if certified and bdim == n * n:
+        if bdim == n * n:
             assert nullity == 1, "irreducible tuple must have a trivial centralizer"
         return RealizationResult(
             conjugators=tuple(Q[j].copy() for j in range(m)),
@@ -142,37 +149,11 @@ def realize(specs: Sequence[ClassSpec], budget: SearchBudget = SearchBudget()):
             burnside_dim=bdim,
             centralizer_nullity=nullity,
             class_membership_ok=membership,
-            certified=certified,
+            certified=True,
             restart_index=index,
             backend=backend_name(),
             budget=budget,
         )
-
-    tasks = [(G, multiplicative, budget, i) for i in range(budget.restarts)]
-    all_over_cap = True
-    jobs = max(1, budget.jobs)
-    if jobs == 1:
-        for task in tasks:
-            index, Q, cond_max = _run_restart(task)
-            if cond_max <= budget.cond_cap:
-                all_over_cap = False
-            result = certify(index, Q)
-            if result.certified:
-                return result
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            for wave_start in range(0, len(tasks), jobs):
-                wave = tasks[wave_start : wave_start + jobs]
-                outcomes = sorted(pool.map(_run_restart, wave), key=lambda t: t[0])
-                certified_results = []
-                for index, Q, cond_max in outcomes:
-                    if cond_max <= budget.cond_cap:
-                        all_over_cap = False
-                    result = certify(index, Q)
-                    if result.certified:
-                        certified_results.append(result)
-                if certified_results:
-                    return min(certified_results, key=lambda r: r.restart_index)
     if budget.restarts > 0 and all_over_cap:
         raise IllConditionedError(
             "every restart ended with conjugators above the condition cap"

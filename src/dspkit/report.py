@@ -8,15 +8,16 @@ form so that reparsing the echo reproduces the identical internal value.
 
 from __future__ import annotations
 
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from .decide import DecisionReport, PsiTrace
 from .errors import InvalidInputError
 from .genericity import ClassSpec
 from .jnf import Jnf, JnfTuple, Partition
 from .scalars import format_scalar, parse_scalar
+
+if TYPE_CHECKING:  # numpy is imported only where a matrix is read
+    import numpy as np
 
 SCHEMA_VERSION = "1"
 
@@ -174,10 +175,12 @@ def decision_json(report: DecisionReport, provenance: str, with_trace: bool) -> 
 
 def matrix_json(mat: np.ndarray) -> list:
     """Row-major nested list of [re, im] pairs."""
-    return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(mat)]
+    return [[[float(v.real), float(v.imag)] for v in row] for row in mat]
 
 
 def matrix_from_json(data) -> np.ndarray:
+    import numpy as np
+
     try:
         arr = np.array(data, dtype=float)
     except (TypeError, ValueError) as exc:  # ragged rows, non-numbers

@@ -1,6 +1,9 @@
 """Command-line interface: schemas, exit codes, round-trips, batch mode."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,6 +12,7 @@ from dspkit.cli import main
 from dspkit.report import parse_problem
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
+SRC = Path(__file__).parent.parent / "src"
 
 
 @pytest.fixture(autouse=True)
@@ -425,9 +429,100 @@ class TestRoundTripAndBatch:
         for name in ("a.json", "c.json"):
             (tmp_path / name).write_text((FIXTURES / "hypergeometric_n2.json").read_text())
         (tmp_path / "b.json").mkdir()
+        (tmp_path / "d.json").write_text("{nope")
+        (tmp_path / "e.json").write_text((FIXTURES / "invalid_blocks.json").read_text())
         code = main(["decide", str(tmp_path)])
         captured = capsys.readouterr()
         reports = [json.loads(line) for line in captured.out.splitlines()]
         assert code == 2
         assert [Path(r["input_path"]).name for r in reports] == ["a.json", "c.json"]
-        assert "b.json: cannot read: Is a directory" in captured.err
+        # each line names its file once
+        assert captured.err.splitlines() == [
+            f"{tmp_path / 'b.json'}: cannot read: Is a directory",
+            f"{tmp_path / 'd.json'}: not valid JSON: Expecting property name enclosed "
+            "in double quotes: line 1 column 2 (char 1)",
+            f"{tmp_path / 'e.json'}: class 0: block sizes must be positive integers",
+        ]
+
+
+def run_python(script: str, *args: str, env: dict) -> dict:
+    """Run `script` in a fresh interpreter on ./src; it prints one JSON object."""
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *args],
+        env=dict(env, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+EXACT_THEN_REALIZE = """
+import contextlib, io, json, sys
+import dspkit, dspkit.cli
+fixtures = sys.argv[1]
+runs = [[cmd, fixtures] for cmd in ("invariants", "decide", "generic", "classify")]
+runs += [["decide", fixtures, "--trace"], ["decide", fixtures + "/extra_case.json", "--trace"]]
+runs += [["enumerate-rigid", "--n", "4"]]
+out = {}
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    out["codes"] = [dspkit.cli.main(argv) for argv in runs]
+    out["numpy_after_exact"] = "numpy" in sys.modules
+    out["realize_code"] = dspkit.cli.main(
+        ["realize", fixtures + "/hypergeometric_n2_generic.json", "--restarts", "2", "--iters", "20"])
+    out["numpy_after_realize"] = "numpy" in sys.modules
+out["names"] = [dspkit.realize.__name__, dspkit.SearchBudget.__name__,
+                dspkit.RealizationResult.__name__]
+print(json.dumps(out))
+"""
+
+BLAS_AT_NUMPY_IMPORT = """
+import contextlib, io, json, os, sys
+seen = {}
+class Spy:
+    # records the BLAS thread variables at the moment numpy is first imported
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.update({v: os.environ.get(v) for v in
+                         ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")})
+sys.meta_path.insert(0, Spy())
+from dspkit.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(["realize", sys.argv[1], "--restarts", "1", "--iters", "5"])
+print(json.dumps({"code": code, "at_numpy_import": seen,
+                  "after": os.environ.get("OPENBLAS_NUM_THREADS")}))
+"""
+
+
+class TestNumpyLoading:
+    """Only `realize` loads numpy, and the CLI chooses one BLAS thread first."""
+
+    def test_exact_commands_leave_numpy_unloaded(self):
+        out = run_python(EXACT_THEN_REALIZE, str(FIXTURES), env=os.environ)
+        # the batch runs over every fixture, the unreadable ones included
+        assert out["codes"] == [2, 2, 2, 2, 2, 0, 0]
+        assert out["numpy_after_exact"] is False
+        assert out["realize_code"] == 0
+        assert out["numpy_after_realize"] is True
+        assert out["names"] == ["realize", "SearchBudget", "RealizationResult"]
+
+    def test_realize_pins_blas_threads_before_numpy(self):
+        env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+        out = run_python(BLAS_AT_NUMPY_IMPORT, str(FIXTURES / "pair_n2.json"), env=env)
+        assert out["code"] == 0
+        assert out["at_numpy_import"] == {
+            "OPENBLAS_NUM_THREADS": "1",
+            "OMP_NUM_THREADS": "1",
+            "MKL_NUM_THREADS": "1",
+        }
+        assert out["after"] == "1"
+
+    def test_caller_thread_count_wins(self):
+        env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+        env["OPENBLAS_NUM_THREADS"] = "2"
+        out = run_python(BLAS_AT_NUMPY_IMPORT, str(FIXTURES / "pair_n2.json"), env=env)
+        assert out["code"] == 0
+        assert out["at_numpy_import"]["OPENBLAS_NUM_THREADS"] == "2"
+        assert out["at_numpy_import"]["OMP_NUM_THREADS"] == "1"
+        assert out["after"] == "2"
