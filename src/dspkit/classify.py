@@ -20,13 +20,7 @@ from .errors import (
     NotApplicableError,
     ResourceExceededError,
 )
-from .genericity import (
-    ClassSpec,
-    check_evs,
-    gcd_reduction,
-    relation_selection_count,
-    specs_tuple,
-)
+from .genericity import ClassSpec, _relation_counts, check_evs, gcd_reduction, specs_tuple
 from .jnf import Jnf, JnfTuple, Partition, Subordination, is_subordinate, kappa_of
 
 __all__ = [
@@ -286,7 +280,8 @@ def weak_verdict_kappa0(specs: Sequence[ClassSpec]) -> Verdict:
 
     Applies when the tuple is good, the multiplicity gcd d exceeds 1, and the
     only relations present are exactly those generated by the d-fold reduced
-    selection (checked by exact counting per cardinality, within budget).
+    selection (checked by exact counting per cardinality, within budget, on
+    one relation DP grown across all cardinalities).
     Additively the weak problem is then unsolvable; multiplicatively it is
     solvable iff the reduced product is a primitive d-th root of unity.
     """
@@ -301,11 +296,10 @@ def weak_verdict_kappa0(specs: Sequence[ClassSpec]) -> Verdict:
     red = gcd_reduction(specs)
     if red.d <= 1:
         return Verdict.NOT_APPLICABLE
-    n = tup.n
-    base = n // red.d
+    base = tup.n // red.d
     mode = specs[0].mode
     try:
-        for k in range(1, n):
+        for k, count in enumerate(_relation_counts(specs), start=1):
             if k % base == 0:
                 t = k // base
                 if mode == "additive":
@@ -314,7 +308,7 @@ def weak_verdict_kappa0(specs: Sequence[ClassSpec]) -> Verdict:
                     expected = 1 if (red.xi**t).is_one() else 0
             else:
                 expected = 0
-            if relation_selection_count(specs, k) != expected:
+            if count != expected:
                 return Verdict.NOT_APPLICABLE
     except ResourceExceededError:
         return Verdict.NOT_APPLICABLE

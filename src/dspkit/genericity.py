@@ -223,6 +223,26 @@ def _relation_pairs(mode: str, specs, per_entry: list, k: int, budget: _StateBud
             yield entry, hit
 
 
+def _pairs_by_cardinality(mode: str, specs, what: str, state_budget: int):
+    """Yield k and the `_relation_pairs` of k for k = 1..n-1 from one DP grown
+    across k.  The states of layers 0..k-1 start the budget of k, so each k is
+    charged, and overruns, exactly as a DP grown from layer 0 up to k."""
+    per_entry: list[list] = [[] for _ in specs]
+    for k in range(1, specs[0].n):
+        grown = sum(len(st) for layers in per_entry for stages in layers for st in stages[1:])
+        budget = _StateBudget(what, k, state_budget, used=grown)
+        yield k, _relation_pairs(mode, specs, per_entry, k, budget)
+
+
+def _relation_counts(specs: Sequence[ClassSpec], state_budget: int = DEFAULT_STATE_BUDGET):
+    """Yield `relation_selection_count(specs, k, state_budget)` for
+    k = 1..n-1 in turn, from one DP grown across k; each k raises the same
+    errors as that call."""
+    mode = validate_specs(specs)
+    for _, pairs in _pairs_by_cardinality(mode, specs, "relation counting", state_budget):
+        yield sum(left[1] * right[1] for left, right in pairs)
+
+
 def find_relation(
     specs: Sequence[ClassSpec], state_budget: int = DEFAULT_STATE_BUDGET
 ) -> Optional[RelationWitness]:
@@ -240,11 +260,8 @@ def find_relation(
     n = specs[0].n
     if n > MAX_RELATION_SIZE:
         raise ResourceExceededError(f"relation enumeration capped at size {MAX_RELATION_SIZE}")
-    per_entry: list[list] = [[] for _ in specs]
-    for k in range(1, n):
-        grown = sum(len(st) for layers in per_entry for stages in layers for st in stages[1:])
-        budget = _StateBudget("relation search", k, state_budget, used=grown)
-        for (left, _), (right, _) in _relation_pairs(mode, specs, per_entry, k, budget):
+    for k, pairs in _pairs_by_cardinality(mode, specs, "relation search", state_budget):
+        for (left, _), (right, _) in pairs:
             return RelationWitness(k, left + right)
     return None
 

@@ -1,9 +1,12 @@
 """Rigid-family and special-case recognition, weak-problem verdicts."""
 
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from dspkit import classify
 from dspkit.classify import (
     RigidFamily,
     SpecialKind,
@@ -19,8 +22,21 @@ from dspkit.classify import (
     weak_verdict_kappa2,
 )
 from dspkit.decide import Verdict, check_conditions, decide_generic
-from dspkit.errors import InvalidInputError, KappaNotTwoError, NotApplicableError
-from dspkit.genericity import ClassSpec, specs_tuple
+from dspkit.errors import (
+    InvalidInputError,
+    KappaNotTwoError,
+    NotApplicableError,
+    ResourceExceededError,
+)
+from dspkit.genericity import (
+    DEFAULT_STATE_BUDGET,
+    ClassSpec,
+    _relation_counts,
+    check_evs,
+    gcd_reduction,
+    relation_selection_count,
+    specs_tuple,
+)
 from dspkit.jnf import Jnf, JnfTuple, Partition, kappa_of
 from dspkit.scalars import AdditiveScalar, MultiplicativeScalar
 
@@ -290,7 +306,79 @@ def example41_specs(first):
     ]
 
 
+def kappa0_specs(rng, mode):
+    """Seeded specs of rigidity index 0 with multiplicity gcd above 1 (the
+    D4, E6 and E7 star shapes scaled by k, and four 2+2 Jordan classes), n <= 8.
+    Small denominators plant extra relations; the last slot is solved from
+    the global constraint."""
+    k = rng.choice([2, 2, 3, 4])
+    ones = (1,) * k
+    shapes = [[[ones, ones]] * 4, [[ones] * 3] * 3, [[ones] * 4] * 2 + [[ones * 2] * 2]]
+    shapes = [s for s in shapes if len(s[0]) * k <= 8] + [[[(2, 2)]] * 4]
+    shape = rng.choice(shapes)
+    den = rng.choice([4, 6, 97])
+    while True:
+        values, running = [], Fraction(0)
+        for ci, cls in enumerate(shape):
+            vals = []
+            for si, part in enumerate(cls):
+                m = sum(part)
+                if ci == len(shape) - 1 and si == len(cls) - 1:
+                    if mode == "additive":
+                        vals.append(AdditiveScalar(-running / m))
+                    else:
+                        vals.append(MultiplicativeScalar(1, (-running + rng.randrange(m)) / m))
+                else:
+                    a = Fraction(rng.randrange(-2 * den, 2 * den), den)
+                    running += m * a
+                    vals.append(AdditiveScalar(a) if mode == "additive" else MultiplicativeScalar(1, a % 1))
+            values.append(vals)
+        if all(len(set(vals)) == len(vals) for vals in values):
+            break
+    specs = [
+        ClassSpec([(Partition(p), v) for p, v in zip(cls, vals)], mode)
+        for cls, vals in zip(shape, values)
+    ]
+    assert check_evs(specs) and kappa_of(specs_tuple(specs)) == 0 and gcd_reduction(specs).d > 1
+    return specs
+
+
+def per_k_counts(specs, state_budget=DEFAULT_STATE_BUDGET):
+    """One `relation_selection_count` call per k, each growing its own DP."""
+    for k in range(1, specs[0].n):
+        yield relation_selection_count(specs, k, state_budget)
+
+
+def counts_until_overrun(counts) -> list:
+    out = []
+    try:
+        for count in counts:
+            out.append(count)
+    except ResourceExceededError as exc:
+        out.append(str(exc))
+    return out
+
+
 class TestWeakKappa0:
+    def test_one_dp_across_k_matches_per_k_counts(self, monkeypatch):
+        verdicts, overruns = Counter(), Counter()
+        for seed in range(60):
+            mode = ("additive", "multiplicative")[seed % 2]
+            specs = kappa0_specs(random.Random(seed), mode)
+            for budget in (DEFAULT_STATE_BUDGET, 1000, 200):
+                got = counts_until_overrun(_relation_counts(specs, budget))
+                assert got == counts_until_overrun(per_k_counts(specs, budget)), (seed, budget)
+                if isinstance(got[-1], str):
+                    overruns[budget, len(got)] += 1
+            verdict = weak_verdict_kappa0(specs)
+            with monkeypatch.context() as m:
+                m.setattr(classify, "_relation_counts", per_k_counts)
+                assert weak_verdict_kappa0(specs) is verdict, seed
+            verdicts[verdict] += 1
+        # every verdict occurs, and some budgets overrun past k = 1
+        assert set(verdicts) == {Verdict.SOLVABLE, Verdict.NOT_SOLVABLE, Verdict.NOT_APPLICABLE}
+        assert any(budget == 200 and k > 1 for budget, k in overruns)
+
     def test_example41_primitive_solvable(self):
         assert weak_verdict_kappa0(example41_specs(I_UNIT)) is Verdict.SOLVABLE
 
