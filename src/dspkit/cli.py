@@ -101,7 +101,11 @@ def _cmd_generic(problem, args) -> tuple[dict, int]:
                 }
             )
             report["generic"] = witness is None
-        report["generalized_beta"] = check_generalized_beta(specs)
+        try:
+            report["generalized_beta"] = check_generalized_beta(specs)
+        except ResourceExceededError as exc:
+            report["generalized_beta"] = {"status": "resource_exceeded", "detail": str(exc)}
+            code = 3
     else:
         report["relation"] = None
         report["generic"] = None

@@ -5,7 +5,10 @@ from every entry (respecting multiplicities) so that the selection sums to 0
 (additive) or multiplies to 1 (multiplicative).  Eigenvalues are generic when
 no such relation exists.  All tests here are exact; enumeration is done by
 dynamic programming over achievable partial values with a hard state budget,
-never by raw subset enumeration.
+never by raw subset enumeration.  The DPs run on integer coordinates: each
+problem's eigenvalues are mapped once to exact integer keys whose sum is the
+key of the scalar sum (product), so a DP state is a plain int, never a
+Fraction-valued scalar.
 """
 
 from __future__ import annotations
@@ -127,26 +130,111 @@ def specs_tuple(specs: Sequence[ClassSpec]) -> JnfTuple:
     return JnfTuple([s.jnf for s in specs])
 
 
-def _identity(mode: str) -> Scalar:
-    return AdditiveScalar.zero() if mode == "additive" else MultiplicativeScalar.one()
-
-
-def _combine(mode: str, value: Scalar, ev: Scalar, copies: int) -> Scalar:
-    if copies == 0:
-        return value
-    if mode == "additive":
-        return value + ev.scale(copies)
-    return value * ev**copies
-
-
 def check_evs(specs: Sequence[ClassSpec]) -> bool:
     """Whether the full eigenvalue product is 1 (resp. the full sum is 0)."""
     mode = validate_specs(specs)
-    total = _identity(mode)
+    pairs = [(ev, m) for s in specs for ev, m in zip(s.eigenvalues, s.multiplicities())]
+    if mode == "additive":
+        total = AdditiveScalar.zero()
+        for ev, m in pairs:
+            total = total + ev.scale(m)
+        return total.is_zero()
+    product = MultiplicativeScalar.one()
+    for ev, m in pairs:
+        product = product * ev**m
+    return product.is_one()
+
+
+def _coprime_base(numbers) -> list[int]:
+    """Pairwise coprime integers > 1 whose products give every number > 1.
+
+    Two members sharing a factor g are replaced by g and their cofactors
+    until none do; each split shrinks the product of all pending numbers.
+    """
+    base: list[int] = []
+    todo = [x for x in numbers if x > 1]
+    while todo:
+        x = todo.pop()
+        for i, b in enumerate(base):
+            g = math.gcd(x, b)
+            if g > 1:
+                del base[i]
+                todo += [y for y in (g, b // g, x // g) if y > 1]
+                break
+        else:
+            base.append(x)
+    return base
+
+
+def _valuation(x: int, b: int) -> int:
+    e = 0
+    while x % b == 0:
+        x //= b
+        e += 1
+    return e
+
+
+def _integer_keys(specs: Sequence[ClassSpec]) -> tuple[int, list]:
+    """Exact integer keys for every value the relation DPs of `specs` reach.
+
+    A key is `free * wrap + cyclic` with 0 <= cyclic < wrap.  Additively
+    wrap is 1, cyclic is 0 and free is re*W + im of the value scaled by L,
+    the lcm of all re/im denominators; W = 2B + 1, with B the bound on |im|
+    over any selection, keeps the packing injective.  Multiplicatively
+    cyclic is arg*wrap, wrap the lcm of the arg denominators, and free packs
+    the modulus's exponent vector over a coprime base of the moduli's
+    numerators and denominators in the same balanced mixed radix.
+
+    The sum of two keys, less wrap when its low digit carries below the
+    addend's (`nv % wrap < low`), is the key of the scalar sum (product), and
+    -k, plus wrap when k % wrap, is the key of the negative (inverse).  The
+    map is injective on every selection of eigenvalue copies and on its
+    inverse, so a dict keyed by it sees the hits and misses of one keyed by
+    the scalars, in the same order.
+
+    Returns wrap and, for each class and slot, the (key, key % wrap) of
+    c copies of the slot's eigenvalue for c = 0..m.
+    """
+    pairs = [(ev, m) for s in specs for ev, m in zip(s.eigenvalues, s.multiplicities())]
+    if specs[0].mode == "additive":
+        wrap = 1
+        scale = math.lcm(*(x.denominator for ev, _ in pairs for x in (ev.re, ev.im)))
+        bound = sum(m * abs((ev.im * scale).numerator) for ev, m in pairs)
+
+        def coordinates(ev):
+            return (ev.re * scale).numerator * (2 * bound + 1) + (ev.im * scale).numerator, 0
+
+    else:
+        wrap = math.lcm(*(ev.arg.denominator for ev, _ in pairs))
+        base = _coprime_base(
+            x for ev, _ in pairs for x in (ev.modulus.numerator, ev.modulus.denominator)
+        )
+
+        def exponents(ev):
+            q = ev.modulus
+            return [_valuation(q.numerator, b) - _valuation(q.denominator, b) for b in base]
+
+        bounds = [0] * len(base)
+        for ev, m in pairs:
+            bounds = [bd + m * abs(e) for bd, e in zip(bounds, exponents(ev))]
+
+        def coordinates(ev):
+            free, place = 0, 1
+            for e, bd in zip(exponents(ev), bounds):
+                free += e * place
+                place *= 2 * bd + 1
+            return free, (ev.arg * wrap).numerator
+
+    steps = []
     for spec in specs:
+        per_slot = []
         for ev, m in zip(spec.eigenvalues, spec.multiplicities()):
-            total = _combine(mode, total, ev, m)
-    return total.is_zero() if mode == "additive" else total.is_one()
+            free, cyclic = coordinates(ev)
+            per_slot.append(
+                [(c * free * wrap + c * cyclic % wrap, c * cyclic % wrap) for c in range(m + 1)]
+            )
+        steps.append(per_slot)
+    return wrap, steps
 
 
 class _StateBudget:
@@ -158,8 +246,8 @@ class _StateBudget:
         self.limit = limit
         self.used = used
 
-    def take(self, count: int = 1) -> None:
-        self.used += count
+    def take(self) -> None:
+        self.used += 1
         if self.used > self.limit:
             raise ResourceExceededError(
                 f"{self.what} exceeded its state budget at cardinality k={self.k}: "
@@ -167,22 +255,25 @@ class _StateBudget:
             )
 
 
-def _grow_layers(spec: ClassSpec, layers: list, k: int, budget: _StateBudget) -> None:
+def _grow_layers(wrap: int, steps: list, layers: list, k: int, budget: _StateBudget) -> None:
     """Grow one entry's selection DP up to cardinality layer k.
 
-    layers[t][s] maps each value reachable with t eigenvalue copies from the
+    `steps` holds the entry's slot keys from `_integer_keys`.  layers[t][s]
+    maps the key of each value reachable with t eigenvalue copies from the
     first s slots to [its first selection counts, its number of selections].
     Layer t at slot s+1 adds t - u copies to layer u at slot s, u ascending,
     so first selections do not depend on how far the DP is grown.
     """
-    mode = spec.mode
     for t in range(len(layers), k + 1):
-        layers.append([{_identity(mode): [(), 1]} if t == 0 else {}])
-        for s, (ev, m) in enumerate(zip(spec.eigenvalues, spec.multiplicities())):
+        layers.append([{0: [(), 1]} if t == 0 else {}])
+        for s, copies in enumerate(steps):
             stage: dict = {}
-            for u in range(max(0, t - m), t + 1):
+            for u in range(max(0, t - len(copies) + 1), t + 1):
+                step, low = copies[t - u]
                 for value, (selection, number) in layers[u][s].items():
-                    nv = _combine(mode, value, ev, t - u)
+                    nv = value + step
+                    if low and nv % wrap < low:
+                        nv -= wrap
                     hit = stage.get(nv)
                     if hit is None:
                         budget.take()
@@ -192,22 +283,26 @@ def _grow_layers(spec: ClassSpec, layers: list, k: int, budget: _StateBudget) ->
             layers[t].append(stage)
 
 
-def _relation_pairs(mode: str, specs, per_entry: list, k: int, budget: _StateBudget):
+def _relation_pairs(keys: tuple[int, list], per_entry: list, k: int, budget: _StateBudget):
     """Grow every entry's DP to layer k, fold layer k over each half of the
     entries, and yield the [selections, number] of each left value together
     with that of its complement on the right (meet in the middle).
     """
-    for spec, layers in zip(specs, per_entry):
-        _grow_layers(spec, layers, k, budget)
+    wrap, steps = keys
+    for entry_steps, layers in zip(steps, per_entry):
+        _grow_layers(wrap, entry_steps, layers, k, budget)
     half = len(per_entry) // 2
     folds = []
     for part in (per_entry[:half], per_entry[half:]):
-        acc = {_identity(mode): [(), 1]}
+        acc = {0: [(), 1]}
         for layers in part:
+            row = [(v2, v2 % wrap, w2, c2) for v2, (w2, c2) in layers[k][-1].items()]
             new_acc: dict = {}
             for v1, (w1, c1) in acc.items():
-                for v2, (w2, c2) in layers[k][-1].items():
-                    nv = (v1 + v2) if mode == "additive" else (v1 * v2)
+                for v2, low, w2, c2 in row:
+                    nv = v1 + v2
+                    if low and nv % wrap < low:
+                        nv -= wrap
                     hit = new_acc.get(nv)
                     if hit is None:
                         budget.take()
@@ -218,28 +313,29 @@ def _relation_pairs(mode: str, specs, per_entry: list, k: int, budget: _StateBud
         folds.append(acc)
     left, right = folds
     for value, entry in left.items():
-        hit = right.get(-value if mode == "additive" else value.inverse())
+        hit = right.get(wrap - value if value % wrap else -value)
         if hit is not None:
             yield entry, hit
 
 
-def _pairs_by_cardinality(mode: str, specs, what: str, state_budget: int):
+def _pairs_by_cardinality(specs, what: str, state_budget: int):
     """Yield k and the `_relation_pairs` of k for k = 1..n-1 from one DP grown
     across k.  The states of layers 0..k-1 start the budget of k, so each k is
     charged, and overruns, exactly as a DP grown from layer 0 up to k."""
+    keys = _integer_keys(specs)
     per_entry: list[list] = [[] for _ in specs]
     for k in range(1, specs[0].n):
         grown = sum(len(st) for layers in per_entry for stages in layers for st in stages[1:])
         budget = _StateBudget(what, k, state_budget, used=grown)
-        yield k, _relation_pairs(mode, specs, per_entry, k, budget)
+        yield k, _relation_pairs(keys, per_entry, k, budget)
 
 
 def _relation_counts(specs: Sequence[ClassSpec], state_budget: int = DEFAULT_STATE_BUDGET):
     """Yield `relation_selection_count(specs, k, state_budget)` for
     k = 1..n-1 in turn, from one DP grown across k; each k raises the same
     errors as that call."""
-    mode = validate_specs(specs)
-    for _, pairs in _pairs_by_cardinality(mode, specs, "relation counting", state_budget):
+    validate_specs(specs)
+    for _, pairs in _pairs_by_cardinality(specs, "relation counting", state_budget):
         yield sum(left[1] * right[1] for left, right in pairs)
 
 
@@ -256,11 +352,11 @@ def find_relation(
     `validate_specs` rejects, and ResourceExceededError above size
     MAX_RELATION_SIZE or past `state_budget`.
     """
-    mode = validate_specs(specs)
+    validate_specs(specs)
     n = specs[0].n
     if n > MAX_RELATION_SIZE:
         raise ResourceExceededError(f"relation enumeration capped at size {MAX_RELATION_SIZE}")
-    for k, pairs in _pairs_by_cardinality(mode, specs, "relation search", state_budget):
+    for k, pairs in _pairs_by_cardinality(specs, "relation search", state_budget):
         for (left, _), (right, _) in pairs:
             return RelationWitness(k, left + right)
     return None
@@ -278,12 +374,12 @@ def relation_selection_count(
     InvalidInputError for specs that `validate_specs` rejects or a
     cardinality outside 1..n-1, and ResourceExceededError past `state_budget`.
     """
-    mode = validate_specs(specs)
+    validate_specs(specs)
     n = specs[0].n
     if not isinstance(cardinality, int) or not 1 <= cardinality < n:
         raise InvalidInputError(f"cardinality must be in 1..{n - 1}, got {cardinality!r}")
     budget = _StateBudget("relation counting", cardinality, state_budget)
-    pairs = _relation_pairs(mode, specs, [[] for _ in specs], cardinality, budget)
+    pairs = _relation_pairs(_integer_keys(specs), [[] for _ in specs], cardinality, budget)
     return sum(left[1] * right[1] for left, right in pairs)
 
 
@@ -315,31 +411,40 @@ def check_generalized_beta(specs: Sequence[ClassSpec]) -> bool:
     Evaluates min over scalar shifts b_j (product 1, resp. sum 0) of the total
     rank of the shifted matrices, which amounts to maximizing the total Jordan
     block count over per-entry choices of one eigenvalue (or none) under the
-    exact constraint; true iff the minimum is >= 2n.
+    exact constraint; true iff the minimum is >= 2n.  Raises
+    InvalidInputError for specs that `validate_specs` rejects, and
+    ResourceExceededError when one entry's layer of the DP holds more than
+    DEFAULT_STATE_BUDGET values.
     """
-    mode = validate_specs(specs)
+    validate_specs(specs)
     n = specs[0].n
     max_blocks = [n - r_of(s.jnf) for s in specs]
     # dropping one entry frees the constraint; the rest pick their best slots
     best_proper = sum(max_blocks) - min(max_blocks)
     # full selection: one eigenvalue per entry, constrained product/sum
-    acc: dict = {_identity(mode): 0}
+    wrap, steps = _integer_keys(specs)
+    acc: dict = {0: 0}
     # after j entries the states are selections of k = j eigenvalue copies
-    for k, spec in enumerate(specs, start=1):
+    for k, (spec, entry_steps) in enumerate(zip(specs, steps), start=1):
         options = [
-            (ev, slot.num_parts) for ev, slot in zip(spec.eigenvalues, spec.jnf.slots)
+            (copies[1], slot.num_parts) for copies, slot in zip(entry_steps, spec.jnf.slots)
         ]
+        budget = _StateBudget("generalized rank condition", k, DEFAULT_STATE_BUDGET)
         new_acc: dict = {}
         for value, blocks in acc.items():
-            for ev, b in options:
-                nv = _combine(mode, value, ev, 1)
+            for (step, low), b in options:
+                nv = value + step
+                if low and nv % wrap < low:
+                    nv -= wrap
                 got = blocks + b
-                if new_acc.get(nv, -1) < got:
+                old = new_acc.get(nv)
+                if old is None:
+                    budget.take()
                     new_acc[nv] = got
-        _StateBudget("generalized rank condition", k, DEFAULT_STATE_BUDGET).take(len(new_acc))
+                elif old < got:
+                    new_acc[nv] = got
         acc = new_acc
-    target = _identity(mode)
-    best = max(best_proper, acc.get(target, -1))
+    best = max(best_proper, acc.get(0, -1))
     min_rank_sum = (len(specs)) * n - best
     return min_rank_sum >= 2 * n
 

@@ -10,6 +10,7 @@ import itertools
 from fractions import Fraction
 
 from dspkit.jnf import Jnf, JnfTuple
+from dspkit.scalars import AdditiveScalar, MultiplicativeScalar
 
 
 def jordan_matrix_exact(jnf: Jnf, eigenvalues=None) -> list[list[Fraction]]:
@@ -105,10 +106,13 @@ def naive_relation_exists(specs, cardinality: int) -> bool:
 
 def naive_relation_count(specs, cardinality: int) -> int:
     """Number of per-entry copy-count choices, `cardinality` copies from every
-    entry, whose values sum to 0 (multiply to 1); exhaustive, tiny sizes only."""
-    from dspkit.genericity import _combine, _identity
+    entry, whose values sum to 0 (multiply to 1); exhaustive, tiny sizes only.
 
-    mode = specs[0].mode
+    Computes with the scalar operators of `dspkit.scalars` only, so it shares
+    no arithmetic with the integer keys of the relation DPs.
+    """
+    additive = specs[0].mode == "additive"
+    identity = AdditiveScalar.zero() if additive else MultiplicativeScalar.one()
     per_entry = []
     for spec in specs:
         mults = spec.multiplicities()
@@ -116,18 +120,17 @@ def naive_relation_count(specs, cardinality: int) -> int:
         for counts in itertools.product(*[range(m + 1) for m in mults]):
             if sum(counts) != cardinality:
                 continue
-            value = _identity(mode)
+            value = identity
             for ev, c in zip(spec.eigenvalues, counts):
-                value = _combine(mode, value, ev, c)
+                value = value + ev.scale(c) if additive else value * ev**c
             options.append(value)
         per_entry.append(options)
-    target = _identity(mode)
     found = 0
     for combo in itertools.product(*per_entry):
-        total = _identity(mode)
+        total = identity
         for v in combo:
-            total = (total + v) if mode == "additive" else (total * v)
-        found += total == target
+            total = total + v if additive else total * v
+        found += total == identity
     return found
 
 

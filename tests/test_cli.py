@@ -143,6 +143,23 @@ class TestGeneric:
         assert code == 3
         assert report["relation"]["status"] == "resource_exceeded"
 
+    def test_generalized_beta_budget_exceeded_keeps_report(self, capsys, monkeypatch):
+        import dspkit.genericity as genericity
+
+        # two eigenvalues per class: 2 sums at k=1, 4 at k=2
+        monkeypatch.setattr(genericity, "DEFAULT_STATE_BUDGET", 3)
+        path = FIXTURES / "hypergeometric_n2_generic.json"
+        code, (report,) = run(capsys, "generic", str(path))
+        assert code == 3
+        assert report["evs_ok"] is True
+        assert report["gcd"] == {"d": 1, "xi": None, "xi_primitive": None}
+        assert report["relation"] is None and report["generic"] is True
+        assert report["generalized_beta"] == {
+            "status": "resource_exceeded",
+            "detail": "generalized rank condition exceeded its state budget at "
+            "cardinality k=2: 4 states used, budget 3",
+        }
+
 
 class TestClassify:
     def test_special_d(self, capsys):

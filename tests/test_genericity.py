@@ -201,6 +201,73 @@ def random_small_specs(rng, mode, forced):
     return specs
 
 
+def check_against_oracle(specs, forced=False):
+    """Assert the count at every k, the smallest witness (or None) against
+    brute force; return the witness cardinality or None."""
+    n = specs[0].n
+    mode = specs[0].mode
+    counts = [naive_relation_count(specs, k) for k in range(1, n)]
+    assert [relation_selection_count(specs, k) for k in range(1, n)] == counts
+    witness = find_relation(specs)
+    if witness is None:
+        assert not any(counts) and not forced
+        return None
+    k = witness.cardinality
+    assert not any(counts[: k - 1]) and counts[k - 1] > 0
+    if forced:
+        assert k <= n // 2
+    value = AdditiveScalar.zero() if mode == "additive" else MultiplicativeScalar.one()
+    for spec, sel in zip(specs, witness.selections):
+        assert len(sel) == spec.jnf.num_slots and sum(sel) == k
+        for ev, c, m in zip(spec.eigenvalues, sel, spec.multiplicities()):
+            assert 0 <= c <= m
+            value = value + ev.scale(c) if mode == "additive" else value * ev**c
+    assert value.is_zero() if mode == "additive" else value.is_one()
+    return k
+
+
+SHARED_MODULI = [2, 4, 6, Fraction(9, 2), Fraction(2, 3), 12]
+P1, P2 = 1_000_003, 9_999_991
+
+
+def encoding_value(rng, case):
+    """One eigenvalue aimed at one part of the DPs' integer keys."""
+    if case == "nonreal":  # a selection of every im copy reaches |im| = B: W = B aliases
+        return AdditiveScalar(rng.randint(-2, 2), rng.randint(0, 1))
+    if case == "shared_moduli":  # only a coprime base splits 4, 6, 12 over 2 and 3
+        modulus = rng.choice(SHARED_MODULI)
+        return MultiplicativeScalar(rng.choice([modulus, 1 / modulus]), Fraction(rng.randint(0, 1), 2))
+    if case == "large_primes_additive":
+        return AdditiveScalar(Fraction(rng.randint(-2, 2), P1), Fraction(rng.randint(-1, 1), P2))
+    if case == "large_primes_multiplicative":
+        return MultiplicativeScalar(rng.choice([1, 2, Fraction(1, 2)]),
+                                    Fraction(rng.choice([0, 1, 2, P1 - 1, P1 - 2]), P1))
+    # negative keys: moduli below 1 and args whose sums carry past 1
+    return MultiplicativeScalar(rng.choice([Fraction(1, 2), Fraction(1, 3), Fraction(1, 6), 1, 6]),
+                                Fraction(rng.randint(0, 2), 3))
+
+
+def encoding_specs(rng, case):
+    """Random diagonal specs with n <= 4 and 2-3 classes of `case` values."""
+    n = rng.randint(2, 4)
+    mults = []
+    for _ in range(rng.randint(2, 3)):
+        left, row = n, []
+        while left:
+            row.append(rng.randint(1, left))
+            left -= row[-1]
+        mults.append(row)
+    while True:
+        values = [[encoding_value(rng, case) for _ in row] for row in mults]
+        if all(len(set(vals)) == len(vals) for vals in values):
+            break
+    mode = "additive" if isinstance(values[0][0], AdditiveScalar) else "multiplicative"
+    return [
+        ClassSpec([(Partition([1] * m), v) for m, v in zip(row, vals)], mode)
+        for row, vals in zip(mults, values)
+    ]
+
+
 class TestRelationOracle:
     """The relation DP against brute force on small random specs."""
 
@@ -211,31 +278,33 @@ class TestRelationOracle:
             mode = ("additive", "multiplicative")[seed % 2]
             forced = seed % 4 >= 2
             specs = random_small_specs(rng, mode, forced)
-            n = specs[0].n
-            counts = [naive_relation_count(specs, k) for k in range(1, n)]
-            assert [relation_selection_count(specs, k) for k in range(1, n)] == counts, seed
-            witness = find_relation(specs)
-            if witness is None:
-                assert not any(counts) and not forced, seed
-                smallest.append(None)
-                continue
-            k = witness.cardinality
-            assert not any(counts[: k - 1]) and counts[k - 1] > 0, seed
-            if forced:
-                assert k <= n // 2, seed
-            if mode == "additive":
-                value = AdditiveScalar.zero()
-            else:
-                value = MultiplicativeScalar.one()
-            for spec, sel in zip(specs, witness.selections):
-                assert len(sel) == spec.jnf.num_slots and sum(sel) == k, seed
-                for ev, c, m in zip(spec.eigenvalues, sel, spec.multiplicities()):
-                    assert 0 <= c <= m, seed
-                    value = value + ev.scale(c) if mode == "additive" else value * ev**c
-            assert value.is_zero() if mode == "additive" else value.is_one(), seed
-            smallest.append(k)
+            smallest.append(check_against_oracle(specs, forced))
         # the sample holds generic specs and smallest relations of several sizes
         assert None in smallest and {1, 2, 3} <= set(smallest)
+
+    @pytest.mark.parametrize(
+        "case",
+        ["nonreal", "shared_moduli", "large_primes_additive", "large_primes_multiplicative",
+         "negative_keys"],
+    )
+    def test_integer_key_cases(self, case):
+        smallest = [check_against_oracle(encoding_specs(random.Random(seed), case))
+                    for seed in range(60)]
+        assert None in smallest and 1 in smallest
+
+    def test_relation_from_cancelling_moduli(self):
+        # 6 * 2/3 * 1/4 = 1 and 1/3 + 1/2 + 1/6 = 1: a relation at k = 1 only
+        # because the moduli cancel and the args carry
+        def specs(last_modulus):
+            return [
+                ClassSpec([(Partition([1]), MultiplicativeScalar(q, Fraction(a))),
+                           (Partition([1]), MultiplicativeScalar(3, 0))], "multiplicative")
+                for q, a in [(6, "1/3"), (Fraction(2, 3), "1/2"), (last_modulus, "1/6")]
+            ]
+
+        assert check_against_oracle(specs(Fraction(1, 4))) == 1
+        assert naive_relation_count(specs(Fraction(1, 4)), 1) == 1
+        assert check_against_oracle(specs(Fraction(1, 2))) is None
 
 
 class TestStateBudget:
@@ -282,6 +351,20 @@ class TestStateBudget:
         assert str(info.value) == (
             "generalized rank condition exceeded its state budget at cardinality k=1: "
             "2 states used, budget 1"
+        )
+
+    def test_generalized_beta_stops_at_budget_plus_one(self):
+        # 17 eigenvalues per class with distinct sums: the k=5 layer would
+        # hold 17**5 values; the DP stops at the first state past the budget
+        specs = [
+            ClassSpec([(Partition([1]), AdditiveScalar(i * 18**j)) for i in range(17)], "additive")
+            for j in range(5)
+        ]
+        with pytest.raises(ResourceExceededError) as info:
+            check_generalized_beta(specs)
+        assert str(info.value) == (
+            "generalized rank condition exceeded its state budget at cardinality k=5: "
+            "200001 states used, budget 200000"
         )
 
 
