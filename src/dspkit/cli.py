@@ -316,17 +316,9 @@ def _dispatch(args) -> int:
                     message = f"{path}: {message}"
                 print(message, file=sys.stderr)
                 if code == 3:
-                    print(
-                        json.dumps(
-                            {
-                                "schema_version": SCHEMA_VERSION,
-                                "command": args.command,
-                                "verdict": "not_applicable",
-                                "reason": str(exc),
-                                "input_path": str(path),
-                            }
-                        )
-                    )
+                    payload = _not_applicable_report(args.command, exc)
+                    payload["input_path"] = str(path)
+                    print(json.dumps(payload))
                 worst = max(worst, code)
                 continue
             print(json.dumps(report))
@@ -337,13 +329,30 @@ def _dispatch(args) -> int:
     return code
 
 
+# errors reported as a not-applicable outcome with exit code 3
+_NOT_APPLICABLE = (
+    NotApplicableError,
+    ResourceExceededError,
+    SamplingExhaustedError,
+    IllConditionedError,
+)
+
+
 def _code_of(exc: DspkitError) -> int:
-    if isinstance(
-        exc,
-        (NotApplicableError, ResourceExceededError, SamplingExhaustedError, IllConditionedError),
-    ):
-        return 3
-    return 2
+    return 3 if isinstance(exc, _NOT_APPLICABLE) else 2
+
+
+def _not_applicable_report(command: str, exc: DspkitError) -> dict:
+    report = {
+        "schema_version": SCHEMA_VERSION,
+        "command": command,
+        "verdict": "not_applicable",
+        "reason": str(exc),
+    }
+    requirement = getattr(exc, "requirement", None)
+    if requirement:
+        report["requirement"] = requirement
+    return report
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -390,22 +399,8 @@ def main(argv=None) -> int:
     except InvalidInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (
-        NotApplicableError,
-        ResourceExceededError,
-        SamplingExhaustedError,
-        IllConditionedError,
-    ) as exc:
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "command": args.command,
-            "verdict": "not_applicable",
-            "reason": str(exc),
-        }
-        requirement = getattr(exc, "requirement", None)
-        if requirement:
-            payload["requirement"] = requirement
-        print(json.dumps(payload))
+    except _NOT_APPLICABLE as exc:
+        print(json.dumps(_not_applicable_report(args.command, exc)))
         print(f"not applicable: {exc}", file=sys.stderr)
         return 3
 

@@ -38,7 +38,9 @@ class ResourceExceededError(DspkitError):
 
 
 class SamplingExhaustedError(DspkitError):
-    """The eigenvalue sampler ran out of retries without a generic assignment."""
+    """The eigenvalue sampler returned no assignment: the multiplicities force a
+    relation (additive, with a common factor), or every draw within the retry
+    budget was badly scaled."""
 
 
 class UnsupportedScalarError(DspkitError):

@@ -449,12 +449,6 @@ def check_generalized_beta(specs: Sequence[ClassSpec]) -> bool:
     return min_rank_sum >= 2 * n
 
 
-def _random_fraction(rng: random.Random, denominator_bound: int) -> Fraction:
-    den = rng.randint(1, denominator_bound)
-    num = rng.randint(-3 * den, 3 * den)
-    return Fraction(num, den)
-
-
 _VALUE_CAP = Fraction(12)
 _MIN_GAP = Fraction(1, 8)
 
@@ -477,68 +471,86 @@ def _well_scaled(values, mode: str) -> bool:
     return True
 
 
-def sample_generic(
-    tup: JnfTuple,
-    mode: str,
-    seed: int,
-    denominator_bound: int = 97,
-    max_retries: int = 1000,
-) -> list[ClassSpec]:
-    """Seeded rejection sampler for generic exact eigenvalue assignments.
+def _primes_above(bound: int, count: int) -> list[int]:
+    """The `count` smallest primes greater than `bound`."""
+    primes: list[int] = []
+    q = bound
+    while len(primes) < count:
+        q += 1
+        if all(q % d for d in range(2, math.isqrt(q) + 1)):
+            primes.append(q)
+    return primes
 
-    All slots but the last receive random small rationals; the last slot is
-    solved exactly from the global sum-0 / product-1 constraint.  Assignments
-    with a non-genericity relation (or colliding slot values) are rejected.
-    Raises SamplingExhaustedError when the retry budget runs out, e.g. when a
-    relation is forced by the multiplicities, and ResourceExceededError when
-    the relation search on a draw exceeds its size cap or state budget.
+
+def sample_generic(
+    tup: JnfTuple, mode: str, seed: int, max_retries: int = 1000
+) -> list[ClassSpec]:
+    """Seeded generic exact eigenvalue assignment, generic by construction.
+
+    One slot L of largest multiplicity m_L is solved from the global
+    constraint.  Every other slot i gets a real value (additive) or a
+    modulus-1 argument (multiplicative) x_i = a_i/p_i, with its own prime
+    p_i > n^2 not dividing a_i, and x_L = (s - sum m_i x_i)/m_L: s = 0
+    additively, and multiplicatively s in 0..m_L-1 is coprime to the gcd g
+    of all multiplicities.  In a relation with copy counts c,
+    |c_i m_L - c_L m_i| <= n^2 < p_i, so the p_i-adic valuation forces
+    c_i m_L = c_L m_i in every slot: c = (j/g) m for some 0 < j < g, with
+    value j s/g.  Additively that is a relation whenever g > 1;
+    multiplicatively never, since g does not divide j s.
+
+    Free slot j of an entry with S slots lies in the middle half of cell j
+    of S equal cells of [-3, 3) (values) or [0, 1) (arguments), so
+    `_well_scaled` rejects only a badly placed solved slot; `max_retries`
+    bounds those redraws.  Raises InvalidInputError for an unknown mode, and
+    SamplingExhaustedError at once for additive multiplicities with a common
+    factor g > 1 (every assignment then has a relation), or when
+    `max_retries` draws are all badly scaled.
     """
     if mode not in ("additive", "multiplicative"):
         raise InvalidInputError(f"unknown mode {mode!r}")
+    additive = mode == "additive"
+    mults = [entry.multiplicities() for entry in tup.entries]
+    g = math.gcd(*(m for row in mults for m in row))
+    if additive and g > 1:
+        raise SamplingExhaustedError(
+            f"every multiplicity is divisible by {g}: dividing them by {g} selects a "
+            "relation, so no additive assignment is generic"
+        )
+    slots = [(e, j) for e, row in enumerate(mults) for j in range(len(row))]
+    solved = max(slots, key=lambda slot: mults[slot[0]][slot[1]])
+    m_solved = mults[solved[0]][solved[1]]
+    shifts = [0] if additive else [s for s in range(m_solved) if math.gcd(s, g) == 1]
+    low, width = (-3, 6) if additive else (0, 1)
+    free = []  # entry, slot, prime and numerator range of every slot but the solved one
+    others = [slot for slot in slots if slot != solved]
+    for (e, j), p in zip(others, _primes_above(tup.n**2, len(others))):
+        cells = 4 * len(mults[e])
+        lo = low + Fraction(width * (4 * j + 1), cells)
+        hi = low + Fraction(width * (4 * j + 3), cells)
+        free.append((e, j, p, math.ceil(lo * p), math.ceil(hi * p)))
     rng = random.Random(seed)
-    slots_per_entry = [e.num_slots for e in tup.entries]
     for _ in range(max_retries):
-        specs = []
-        ok = True
-        if mode == "additive":
-            running = AdditiveScalar.zero()
+        xs: list[list] = [[None] * len(row) for row in mults]
+        total = Fraction(0)
+        for e, j, p, first, stop in free:
+            a = rng.randrange(first, stop)
+            while a % p == 0:
+                a = rng.randrange(first, stop)
+            xs[e][j] = Fraction(a, p)
+            total += mults[e][j] * xs[e][j]
+        xs[solved[0]][solved[1]] = (rng.choice(shifts) - total) / m_solved
+        if additive:
+            values = [[AdditiveScalar(x) for x in row] for row in xs]
         else:
-            running_arg = Fraction(0)
-        for idx, entry in enumerate(tup.entries):
-            last_entry = idx == len(tup.entries) - 1
-            values: list[Scalar] = []
-            for slot_idx, slot in enumerate(entry.slots):
-                m = slot.total
-                last_slot = last_entry and slot_idx == slots_per_entry[idx] - 1
-                if not last_slot:
-                    if mode == "additive":
-                        v: Scalar = AdditiveScalar(_random_fraction(rng, denominator_bound))
-                        running = running + v.scale(m)
-                    else:
-                        v = MultiplicativeScalar(
-                            1, Fraction(rng.randint(0, denominator_bound - 1), denominator_bound)
-                        )
-                        running_arg += m * v.arg
-                else:
-                    if mode == "additive":
-                        v = AdditiveScalar(-running.re / m, -running.im / m)
-                    else:
-                        shift = rng.randint(0, m - 1)
-                        v = MultiplicativeScalar(1, (-running_arg + shift) / m)
-                values.append(v)
-            if len(set(values)) != len(values) or not _well_scaled(values, mode):
-                ok = False
-                break
-            specs.append(ClassSpec(list(zip(entry.slots, values)), mode))
-        if not ok:
-            continue
-        assert check_evs(specs), "solved assignment must satisfy the global constraint"
-        if find_relation(specs) is None:
+            values = [[MultiplicativeScalar(1, x) for x in row] for row in xs]
+        if all(_well_scaled(row, mode) for row in values):
+            specs = [
+                ClassSpec(list(zip(entry.slots, row)), mode)
+                for entry, row in zip(tup.entries, values)
+            ]
+            assert check_evs(specs), "solved assignment must satisfy the global constraint"
             return specs
-    raise SamplingExhaustedError(
-        f"no generic assignment found in {max_retries} tries "
-        "(the multiplicities may force a relation)"
-    )
+    raise SamplingExhaustedError(f"no well-scaled assignment found in {max_retries} tries")
 
 
 def exp_map(spec: ClassSpec) -> ClassSpec:

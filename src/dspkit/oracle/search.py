@@ -29,7 +29,11 @@ MAX_ENTRIES = 6
 class SearchBudget:
     """Limits and tolerances of one search.  `jobs` starts no threads: it is
     kept for existing callers and the report's echo, and restarts always run
-    one at a time in index order."""
+    one at a time in index order.
+
+    Raises InvalidInputError when `restarts`, `iters` or `jobs` is below 1 or
+    `residual_tol` is not positive (NaN included): no search could run.
+    """
 
     restarts: int = 50
     iters: int = 200
@@ -40,6 +44,14 @@ class SearchBudget:
     cond_cap: float = 1e4
     jobs: int = 1
     warm_start: Optional[tuple] = None
+
+    def __post_init__(self):
+        for name in ("restarts", "iters", "jobs"):
+            value = getattr(self, name)
+            if value < 1:
+                raise InvalidInputError(f"{name} must be at least 1, got {value}")
+        if not self.residual_tol > 0:
+            raise InvalidInputError(f"residual_tol must be positive, got {self.residual_tol}")
 
 
 @dataclass(frozen=True)
@@ -154,7 +166,7 @@ def realize(specs: Sequence[ClassSpec], budget: SearchBudget = SearchBudget()):
             backend=backend_name(),
             budget=budget,
         )
-    if budget.restarts > 0 and all_over_cap:
+    if all_over_cap:
         raise IllConditionedError(
             "every restart ended with conjugators above the condition cap"
         )

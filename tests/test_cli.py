@@ -418,6 +418,25 @@ class TestRoundTripAndBatch:
         assert reports[1]["verdict"] == "not_applicable"
         assert reports[1]["input_path"].endswith("b_special.json")
 
+    def test_batch_not_applicable_line_matches_single_file(self, capsys, tmp_path):
+        (tmp_path / "special_a_k2.json").write_text((FIXTURES / "special_a_k2.json").read_text())
+        assert main(["decide", str(FIXTURES / "special_a_k2.json"), "--weak"]) == 3
+        single = capsys.readouterr().out
+        assert main(["decide", str(tmp_path), "--weak"]) == 3
+        batch = capsys.readouterr().out
+        path = str(tmp_path / "special_a_k2.json")
+        assert batch == json.dumps(
+            {
+                "schema_version": "1",
+                "command": "decide",
+                "verdict": "not_applicable",
+                "reason": "no entry has n distinct eigenvalues",
+                "requirement": "one entry must be the distinct-eigenvalue JNF",
+                "input_path": path,
+            }
+        ) + "\n"
+        assert json.loads(batch) == dict(json.loads(single), input_path=path)
+
     @pytest.mark.parametrize("command", ["invariants", "decide", "generic", "classify"])
     def test_jobs_below_one_exit2(self, capsys, command):
         code = main([command, str(FIXTURES), "--jobs", "0"])

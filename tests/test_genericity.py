@@ -1,5 +1,6 @@
 """Eigenvalue constraints, non-genericity relations, gcd reduction, sampler."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from dspkit.genericity import (
     relation_selection_count,
     sample_generic,
 )
+from dspkit.classify import RigidFamily, rigid_family_tuple
 from dspkit.decide import check_conditions
 from dspkit.jnf import Jnf, JnfTuple, Partition
 from dspkit.scalars import AdditiveScalar, MultiplicativeScalar
@@ -481,15 +483,98 @@ class TestSampler:
         assert all(ev.modulus == 1 for s in specs for ev in s.eigenvalues)
 
     def test_forced_relation_exhausts(self):
-        # all multiplicities even: the halved selection is always a relation
-        tup = JnfTuple([Jnf([[1, 1], [1, 1]])] * 3)
-        with pytest.raises(SamplingExhaustedError):
-            sample_generic(tup, "additive", seed=0, max_retries=60)
+        # all multiplicities share g: the selection of m/g copies is always a
+        # relation, so the sampler raises before drawing and names g
+        for mults, g in [([[2, 2]] * 3, 2), ([[4, 2], [2, 2, 2], [6]], 2), ([[3, 3]] * 3, 3)]:
+            with pytest.raises(SamplingExhaustedError, match=f"multiplicity is divisible by {g}:"):
+                sample_generic(diagonal_tuple(mults), "additive", seed=0, max_retries=60)
 
     def test_n1_tuple(self):
         tup = JnfTuple([Jnf([[1]])] * 3)
         specs = sample_generic(tup, "additive", seed=9)
         assert check_evs(specs)
+
+
+def diagonal_tuple(mults):
+    return JnfTuple([Jnf([[1] * m for m in row]) for row in mults])
+
+
+def rigid_rows(max_n):
+    rows = []
+    for n in range(2, max_n + 1):
+        for tag in RigidFamily:
+            try:
+                rows.append(rigid_family_tuple(tag, n))
+            except InvalidInputError:  # the family has no row at this size
+                pass
+    return rows
+
+
+def multiplicity_gcd(tup):
+    return math.gcd(*(m for e in tup.entries for m in e.multiplicities()))
+
+
+class TestSamplerGenericByConstruction:
+    """Draws are generic by construction: checked against the relation DP and
+    against brute force, never by the sampler itself."""
+
+    def test_brute_force_oracle_small(self):
+        from dspkit.enumerate import all_jnfs
+
+        rng = random.Random(2024)
+        checked = {"additive": 0, "multiplicative": 0}
+        for seed in range(120):
+            n = rng.randint(2, 5)
+            entries = rng.randint(2, 4 if n <= 4 else 3)
+            tup = JnfTuple([rng.choice(all_jnfs(n)) for _ in range(entries)])
+            mode = ("additive", "multiplicative")[seed % 2]
+            if mode == "additive" and multiplicity_gcd(tup) > 1:
+                with pytest.raises(SamplingExhaustedError):
+                    sample_generic(tup, mode, seed=seed)
+                continue
+            specs = sample_generic(tup, mode, seed=seed)
+            assert check_evs(specs)
+            assert all(naive_relation_count(specs, k) == 0 for k in range(1, n)), (tup, mode)
+            assert find_relation(specs) is None
+            checked[mode] += 1
+        assert min(checked.values()) >= 40
+
+    def test_multiplicative_hypergeometric_n5_every_seed(self):
+        tup = rigid_family_tuple(RigidFamily.HYPERGEOMETRIC, 5)
+        for seed in range(400):
+            specs = sample_generic(tup, "multiplicative", seed=seed)
+            assert check_evs(specs) and find_relation(specs) is None, seed
+
+    @pytest.mark.parametrize("mode", ["additive", "multiplicative"])
+    def test_every_rigid_row_up_to_n8(self, mode):
+        rows = rigid_rows(8)
+        assert len(rows) == 14
+        for tup in rows:
+            for seed in range(3):
+                specs = sample_generic(tup, mode, seed=seed)
+                assert check_evs(specs) and find_relation(specs) is None, (tup, seed)
+
+    def test_additive_hypergeometric_n12(self):
+        # the relation DP overruns its budget here, so check the construction:
+        # every slot but one has its own prime denominator above n^2
+        tup = rigid_family_tuple(RigidFamily.HYPERGEOMETRIC, 12)
+        for seed in range(5):
+            specs = sample_generic(tup, "additive", seed=seed)
+            assert check_evs(specs)
+            denominators = sorted(ev.re.denominator for s in specs for ev in s.eigenvalues)
+            primes = denominators[:-1]
+            assert len(set(primes)) == len(primes) == 25
+            assert all(p > 144 and all(p % d for d in range(2, p)) for p in primes)
+
+    @pytest.mark.parametrize("mults", [[[2, 2]] * 4, [[2, 2, 2]] * 3, [[4, 2], [2, 2, 2], [6]]])
+    def test_multiplicative_common_factor_rows_are_generic(self, mults):
+        tup = diagonal_tuple(mults)
+        for seed in range(20):
+            specs = sample_generic(tup, "multiplicative", seed=seed)
+            assert check_evs(specs) and find_relation(specs) is None
+            assert gcd_reduction(specs).xi_primitive is True
+            if tup.n <= 4:
+                assert all(naive_relation_count(specs, k) == 0 for k in range(1, tup.n))
 
 
 class TestExpMap:

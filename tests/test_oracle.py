@@ -204,6 +204,21 @@ class TestRealize:
         with pytest.raises(InvalidInputError):
             realize(big)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("restarts", 0, "restarts must be at least 1, got 0"),
+            ("iters", 0, "iters must be at least 1, got 0"),
+            ("residual_tol", float("nan"), "residual_tol must be positive, got nan"),
+            ("jobs", -5, "jobs must be at least 1, got -5"),
+        ],
+    )
+    def test_budget_with_which_nothing_runs_rejected(self, field, value, message):
+        from dspkit.errors import InvalidInputError
+
+        with pytest.raises(InvalidInputError, match=f"^{message}$"):
+            SearchBudget(**{field: value})
+
     def test_unreachable_condition_cap(self):
         from dspkit.errors import IllConditionedError
 
