@@ -31,8 +31,9 @@ class SearchBudget:
     kept for existing callers and the report's echo, and restarts always run
     one at a time in index order.
 
-    Raises InvalidInputError when `restarts`, `iters` or `jobs` is below 1 or
-    `residual_tol` is not positive (NaN included): no search could run.
+    Raises InvalidInputError when `restarts`, `iters` or `jobs` is below 1,
+    `residual_tol` is not positive (NaN included), so that no search could
+    run, or `seed` lies outside [0, 2**32), which cannot seed the restarts.
     """
 
     restarts: int = 50
@@ -52,6 +53,8 @@ class SearchBudget:
                 raise InvalidInputError(f"{name} must be at least 1, got {value}")
         if not self.residual_tol > 0:
             raise InvalidInputError(f"residual_tol must be positive, got {self.residual_tol}")
+        if not 0 <= self.seed < 2**32:
+            raise InvalidInputError(f"seed must be in [0, 2**32), got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -110,15 +113,22 @@ def _residual_of(G, Q, multiplicative: bool) -> tuple[np.ndarray, float]:
 
 
 def _run_restart(G, multiplicative: bool, budget: SearchBudget, index: int):
+    """The conjugators one restart ends with and their largest condition
+    number, inf when the kernel ends without a finite residual, as it does
+    from a numerically singular start."""
     m, n, _ = G.shape
     if budget.warm_start is not None and index == 0:
         Q0 = np.ascontiguousarray(np.array(budget.warm_start, dtype=np.complex128))
         if Q0.shape != (m, n, n):
             raise InvalidInputError(f"warm start must have shape {(m, n, n)}, got {Q0.shape}")
+        if not np.isfinite(Q0).all():
+            raise InvalidInputError("warm start must have finite entries")
     else:
         Q0 = _random_start(budget.seed, index, m, n, budget.cond_cap)
     stop_tol = budget.residual_tol * 1e-4
-    Q, _, _ = gn_numpy.run(G, Q0, multiplicative, budget.iters, stop_tol)
+    Q, residual, _ = gn_numpy.run(G, Q0, multiplicative, budget.iters, stop_tol)
+    if not np.isfinite(residual):
+        return Q, np.inf
     conds = [float(np.linalg.cond(Q[j])) for j in range(m)]
     return Q, max(conds)
 
@@ -128,7 +138,13 @@ def realize(specs: Sequence[ClassSpec], budget: SearchBudget = SearchBudget()):
 
     Certification recomputes the residual and all certificates independently
     of the Gauss-Newton kernel.  Restarts run in index order, each seeded by
-    (seed, restart_index); the first certified restart is returned.
+    (seed, restart_index); the first certified restart is returned.  A
+    restart whose conjugators are numerically singular is never certified
+    and counts as above the condition cap.
+
+    Raises InvalidInputError above the size caps or for a warm start of the
+    wrong shape or with non-finite entries, and IllConditionedError when
+    every restart ends above the condition cap.
     """
     mode = validate_specs(specs)
     multiplicative = mode == "multiplicative"
@@ -144,6 +160,8 @@ def realize(specs: Sequence[ClassSpec], budget: SearchBudget = SearchBudget()):
     all_over_cap = True
     for index in range(budget.restarts):
         Q, cond_max = _run_restart(G, multiplicative, budget, index)
+        if cond_max == np.inf:
+            continue
         if cond_max <= budget.cond_cap:
             all_over_cap = False
         A, residual = _residual_of(G, Q, multiplicative)

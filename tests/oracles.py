@@ -1,13 +1,17 @@
 """Independent brute-force oracles used by the tests.
 
 Exact rational linear algebra on explicit Jordan matrices: these never touch
-the closed forms they are checking.
+the closed forms they are checking.  The Gauss-Newton references build the
+Jacobian from np.kron and solve the dense normal equations, the forms the
+kernel avoids.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+
+import numpy as np
 
 from dspkit.jnf import Jnf, JnfTuple
 from dspkit.scalars import AdditiveScalar, MultiplicativeScalar
@@ -178,3 +182,44 @@ def star_root_verdict(tup: JnfTuple) -> bool:
         if alpha[i] < 0:
             return False
     return True
+
+
+def kron_jacobian(G, Q, inv, A, multiplicative):
+    """dF/dQ of the Gauss-Newton kernel built block by block from np.kron,
+    in row-major vec: vec(L X R) = kron(L, R^T) vec(X)."""
+    m, n, _ = G.shape
+    n2 = n * n
+    eye = np.eye(n, dtype=np.complex128)
+    J = np.empty((n2, m * n2), dtype=np.complex128)
+    if multiplicative:
+        left = np.empty_like(A)
+        right = np.empty_like(A)
+        left[0] = eye
+        for j in range(1, m):
+            left[j] = left[j - 1] @ A[j - 1]
+        right[m - 1] = eye
+        for j in range(m - 2, -1, -1):
+            right[j] = A[j + 1] @ right[j + 1]
+        for j in range(m):
+            K = G[j] @ inv[j]
+            J[:, j * n2 : (j + 1) * n2] = np.kron(left[j], (K @ right[j]).T) - np.kron(
+                left[j] @ A[j], (inv[j] @ right[j]).T
+            )
+    else:
+        for j in range(m):
+            K = G[j] @ inv[j]
+            J[:, j * n2 : (j + 1) * n2] = np.kron(eye, K.T) - np.kron(A[j], inv[j].T)
+    return J
+
+
+def normal_equations_step(J, F, lam):
+    """The Levenberg step at ridge lam, solved from the dense mn^2 x mn^2
+    normal equations (J^H J + lam * scale * I) delta = -J^H F, with scale the
+    mean of diag(J^H J)."""
+    mn2 = J.shape[1]
+    ridge_eye = np.eye(mn2, dtype=np.complex128)
+    Jh = J.conj().T
+    g = Jh @ F.reshape(-1)
+    H = Jh @ J
+    scale = float(np.mean(np.abs(np.diag(H).real))) + 1e-30
+    return np.linalg.solve(H + (lam * scale) * ridge_eye, -g)

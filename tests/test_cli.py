@@ -326,6 +326,11 @@ class TestRealize:
             ("{nope", "not valid JSON"),
             ('{"conjugators": 3}', "warm-start file needs a 'conjugators' field"),
             ('{"conjugators": [[[[1, 0], [0]]]]}', "matrix JSON must be rows of [re, im] pairs"),
+            (
+                '{"conjugators": [[[[NaN, 0], [0, 0]], [[0, 0], [1, 0]]]'
+                ', [[[1, 0], [0, 0]], [[0, 0], [1, 0]]], [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]]}',
+                "warm start must have finite entries",
+            ),
         ],
     )
     def test_bad_warm_start_exit2(self, capsys, tmp_path, content, message):
@@ -337,6 +342,28 @@ class TestRealize:
         assert code == 2
         assert captured.out == ""
         assert message in captured.err
+
+    @pytest.mark.parametrize("restarts", ["1", "2"])
+    def test_singular_warm_start_skipped(self, capsys, tmp_path, restarts):
+        zero = [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]
+        warm = tmp_path / "zeros.json"
+        warm.write_text(json.dumps({"conjugators": [zero] * 3}))
+        code, (report,) = run(
+            capsys,
+            "realize",
+            str(FIXTURES / "hypergeometric_n2_generic.json"),
+            "--warm-start",
+            str(warm),
+            "--restarts",
+            restarts,
+        )
+        if restarts == "1":
+            assert code == 3
+            assert report["verdict"] == "not_applicable"
+            assert "condition cap" in report["reason"]
+        else:
+            assert code == 0
+            assert report["found"] and report["restart_index"] == 1
 
 
 class TestEnumerateRigid:

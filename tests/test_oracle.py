@@ -1,12 +1,17 @@
-"""Numerical realization search and its certificates."""
+"""Numerical realization search, its Gauss-Newton kernel and its
+certificates."""
+
+import re
 
 import numpy as np
 import pytest
 
+from dspkit.errors import IllConditionedError, InvalidInputError
 from dspkit.genericity import ClassSpec, sample_generic
 from dspkit.jnf import Jnf, JnfTuple, Partition
 from dspkit.oracle import (
     SearchBudget,
+    gn_numpy,
     burnside_dim,
     centralizer_nullity,
     class_membership,
@@ -14,6 +19,7 @@ from dspkit.oracle import (
     realize,
 )
 from dspkit.scalars import AdditiveScalar, MultiplicativeScalar
+from oracles import kron_jacobian, normal_equations_step
 
 
 def strata_specs():
@@ -195,8 +201,6 @@ class TestRealize:
             assert np.array_equal(a, b)
 
     def test_size_caps(self):
-        from dspkit.errors import InvalidInputError
-
         big = [
             ClassSpec([(Partition([1] * 9), AdditiveScalar(j))], "additive")
             for j in (-1, 0, 1)
@@ -211,17 +215,15 @@ class TestRealize:
             ("iters", 0, "iters must be at least 1, got 0"),
             ("residual_tol", float("nan"), "residual_tol must be positive, got nan"),
             ("jobs", -5, "jobs must be at least 1, got -5"),
+            ("seed", -1, "seed must be in [0, 2**32), got -1"),
+            ("seed", 2**32, f"seed must be in [0, 2**32), got {2**32}"),
         ],
     )
     def test_budget_with_which_nothing_runs_rejected(self, field, value, message):
-        from dspkit.errors import InvalidInputError
-
-        with pytest.raises(InvalidInputError, match=f"^{message}$"):
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
             SearchBudget(**{field: value})
 
     def test_unreachable_condition_cap(self):
-        from dspkit.errors import IllConditionedError
-
         specs = strata_specs()
         with pytest.raises(IllConditionedError):
             realize(specs, SearchBudget(restarts=2, iters=5, cond_cap=0.9))
@@ -234,3 +236,62 @@ class TestRealize:
         assert serial.restart_index == parallel.restart_index
         for a, b in zip(serial.matrices, parallel.matrices):
             assert np.array_equal(a, b)
+
+
+def _random_problem(rng, m, n):
+    G = rng.normal(size=(m, n, n)) + 1j * rng.normal(size=(m, n, n))
+    Q = rng.normal(size=(m, n, n)) + 1j * rng.normal(size=(m, n, n))
+    return G, Q
+
+
+def _relative(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+class TestKernelAgainstDenseReference:
+    """The broadcast Jacobian and the push-through ridge step against the
+    np.kron Jacobian and the dense normal equations."""
+
+    @pytest.mark.parametrize("multiplicative", [False, True])
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+    def test_jacobian_and_step(self, multiplicative, m):
+        rng = np.random.default_rng(100 * m + multiplicative)
+        lam = gn_numpy._LAMBDA_INIT
+        for n in range(2, 9):
+            G, Q = _random_problem(rng, m, n)
+            A, inv, F = gn_numpy._forward(G, Q, multiplicative)
+            J = gn_numpy._jacobian(G, inv, A, multiplicative)
+            J_ref = kron_jacobian(G, Q, inv, A, multiplicative)
+            assert _relative(J, J_ref) < 1e-12, (m, n)
+            M, scale = gn_numpy._gram(J)
+            step = gn_numpy._step(J, M, F.reshape(-1), lam * scale)
+            assert _relative(step, normal_equations_step(J_ref, F, lam)) < 1e-9, (m, n)
+
+    @pytest.mark.parametrize("fill", [0.0, np.nan])
+    @pytest.mark.parametrize("multiplicative", [False, True])
+    def test_singular_or_non_finite_start(self, fill, multiplicative):
+        G, _ = _random_problem(np.random.default_rng(3), 3, 3)
+        Q0 = np.eye(3) * np.ones((3, 1, 1), dtype=complex)
+        Q0[1] = fill
+        Q, residual, used = gn_numpy.run(G, Q0, multiplicative, 10, 0.0)
+        assert (residual, used) == (np.inf, 0)
+        assert np.array_equal(Q, Q0, equal_nan=True)
+
+
+class TestWarmStartRejects:
+    def test_zero_warm_start_counts_above_cap(self):
+        zero = (np.zeros((2, 2), dtype=complex),) * 3
+        with pytest.raises(IllConditionedError):
+            realize(strata_specs(), SearchBudget(restarts=1, warm_start=zero))
+
+    def test_zero_warm_start_skipped(self):
+        zero = (np.zeros((2, 2), dtype=complex),) * 3
+        res = realize(strata_specs(), SearchBudget(restarts=2, iters=60, warm_start=zero))
+        assert res is not None and res.certified
+        assert res.restart_index == 1
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_warm_start_rejected(self, bad):
+        warm = (np.full((2, 2), bad, dtype=complex),) + S1_WARM[1:]
+        with pytest.raises(InvalidInputError, match="^warm start must have finite entries$"):
+            realize(strata_specs(), SearchBudget(restarts=2, warm_start=warm))
