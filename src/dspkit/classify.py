@@ -13,7 +13,7 @@ import enum
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .decide import Verdict, check_conditions, decide_generic
+from .decide import ReductionEngine, TerminationReason, Verdict, check_conditions
 from .errors import (
     InvalidInputError,
     KappaNotTwoError,
@@ -206,8 +206,10 @@ def decide_unipotent_nilpotent(tup: JnfTuple, problem: str, mode: str) -> Verdic
 
 
 def is_good(tup: JnfTuple) -> bool:
-    """Whether the generic-eigenvalue criterion declares the tuple solvable."""
-    return decide_generic(tup).verdict is Verdict.SOLVABLE
+    """Whether the generic-eigenvalue criterion declares the tuple solvable.
+
+    Runs the default-choice reduction on ids and builds no trace."""
+    return ReductionEngine().walk(tup)[2] is not TerminationReason.PSI_UNDEFINED
 
 
 @dataclass(frozen=True)

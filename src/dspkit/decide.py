@@ -10,8 +10,8 @@ and the size-reducing construction on JNF tuples (choose per entry an
 eigenvalue with the maximal number of Jordan blocks, shrink its smallest
 blocks) whose iteration decides solvability at generic eigenvalues.
 `ReductionEngine` is the one implementation of that iteration: the
-default-choice trace behind `decide_generic` and the verdict over every
-choice of maximizer slots both run on its interned ids.
+default-choice walk behind `decide_generic` and `classify.is_good` and the
+verdict over every choice of maximizer slots all run on its interned ids.
 """
 
 from __future__ import annotations
@@ -56,21 +56,31 @@ class ConditionCheck:
     omega: bool
     n: int
 
+    def __init__(self, alpha: bool, alpha_strict: bool, beta: bool, omega: bool, n: int):
+        # frozen: write the instance dict directly, as object.__setattr__ would
+        self.__dict__.update(alpha=alpha, alpha_strict=alpha_strict, beta=beta, omega=omega, n=n)
+
+
+def _sums(tup: JnfTuple) -> tuple[int, int, int]:
+    """The sum of r, the largest r and the sum of d over the entries."""
+    # Plain loop: on 3.11 a comprehension costs more than these few entries.
+    r_sum = d_sum = top_r = 0
+    for e in tup.entries:
+        r = e.r
+        r_sum += r
+        d_sum += e.d
+        if r > top_r:
+            top_r = r
+    return r_sum, top_r, d_sum
+
 
 def check_conditions(tup: JnfTuple) -> ConditionCheck:
     """Evaluate alpha, beta, omega exactly from the class invariants."""
     n = tup.n
-    rs = [e.r for e in tup.entries]
-    d_sum = sum(e.d for e in tup.entries)
-    r_sum = sum(rs)
+    r_sum, top_r, d_sum = _sums(tup)
+    bound = 2 * n * n - 2
     # beta asks r_sum - r_j >= n for every j; the largest r_j is the binding one
-    return ConditionCheck(
-        alpha=d_sum >= 2 * n * n - 2,
-        alpha_strict=d_sum > 2 * n * n - 2,
-        beta=r_sum - max(rs) >= n,
-        omega=r_sum >= 2 * n,
-        n=n,
-    )
+    return ConditionCheck(d_sum >= bound, d_sum > bound, r_sum - top_r >= n, r_sum >= 2 * n, n)
 
 
 class Verdict(enum.Enum):
@@ -92,6 +102,9 @@ class PsiStep:
     chosen_slots: tuple[int, ...]
     n1: int
 
+    def __init__(self, input: JnfTuple, chosen_slots: tuple[int, ...], n1: int):
+        self.__dict__.update(input=input, chosen_slots=chosen_slots, n1=n1)
+
 
 @dataclass(frozen=True)
 class PsiTrace:
@@ -107,6 +120,22 @@ class DecisionReport:
     kappa: int
     trace: Optional[PsiTrace]
     expected_moduli_dimension: Optional[int]
+
+    def __init__(
+        self,
+        verdict: Verdict,
+        conditions: ConditionCheck,
+        kappa: int,
+        trace: Optional[PsiTrace],
+        expected_moduli_dimension: Optional[int],
+    ):
+        self.__dict__.update(
+            verdict=verdict,
+            conditions=conditions,
+            kappa=kappa,
+            trace=trace,
+            expected_moduli_dimension=expected_moduli_dimension,
+        )
 
 
 def maximizer_slots(jnf: Jnf) -> list[int]:
@@ -124,21 +153,6 @@ def default_choice(jnf: Jnf) -> int:
         if s.num_parts == top and s.total > best_total:
             best, best_total = i, s.total
     return best
-
-
-def _shrink_slot(jnf: Jnf, slot: int, count: int) -> Jnf:
-    """Decrement the `count` smallest blocks of one slot by 1, dropping zeros."""
-    parts = jnf.slots[slot].parts
-    # parts are stored descending; the smallest blocks sit at the tail
-    assert count <= len(parts), "cannot shrink more blocks than the slot has"
-    keep = len(parts) - count
-    new_parts = parts[:keep] + tuple(p - 1 for p in parts[keep:] if p > 1)
-    new_slots = [s for i, s in enumerate(jnf.slots) if i != slot]
-    if new_parts:
-        new_slots.append(Partition(new_parts))
-    if not new_slots:
-        raise PsiUndefinedError("reduction would empty an entry completely")
-    return Jnf(new_slots)
 
 
 # enum members read through the class cost ~10x a global on 3.11; the sweeps
@@ -169,8 +183,7 @@ def _gate(n: int, r_sum: int, top_r: int, d_sum: int) -> int | TerminationReason
 
 
 def _tuple_gate(tup: JnfTuple) -> int | TerminationReason:
-    rs = [e.r for e in tup.entries]
-    return _gate(tup.n, sum(rs), max(rs), sum(e.d for e in tup.entries))
+    return _gate(tup.n, *_sums(tup))
 
 
 class ReductionEngine:
@@ -196,9 +209,9 @@ class ReductionEngine:
 
     def intern(self, jnf: Jnf) -> int:
         """The id of `jnf`, assigned on first sight."""
-        got = self._ids.get(jnf)
-        if got is None:
-            got = self._ids[jnf] = len(self.jnfs)
+        new = len(self.jnfs)
+        got = self._ids.setdefault(jnf, new)
+        if got == new:
             self.jnfs.append(jnf)
             self.r.append(jnf.r)
             self.d.append(jnf.d)
@@ -225,7 +238,7 @@ class ReductionEngine:
 
     def child(self, e: int, slot: int, count: int) -> int:
         """Entry `e` with the `count` smallest blocks of `slot` shrunk by 1."""
-        return self.intern(_shrink_slot(self.jnfs[e], slot, count))
+        return self.intern(self.jnfs[e]._shrunk(slot, count))
 
     def choices(self, e: int, count: int) -> tuple[int, ...]:
         """The children of entry `e` at one shrink count over every maximizer
@@ -273,20 +286,37 @@ class ReductionEngine:
                 )
         return verdict
 
-    def trace(self, tup: JnfTuple) -> PsiTrace:
-        """Run the reduction with the default tie-break until it stops.
-
-        Only the tuples the trace returns are built; the walk is on ids."""
+    def walk(
+        self, tup: JnfTuple
+    ) -> tuple[list[list[int]], list[tuple[int, ...]], TerminationReason]:
+        """Run the reduction from `tup` with the default tie-break until it
+        stops, on ids: the id state of `tup` and of every later tuple, the
+        slots chosen at each step, and why it stopped."""
+        jnfs = self.jnfs
         state = self.state(tup)
-        steps: list[PsiStep] = []
+        states = [state]
+        chosen_slots: list[tuple[int, ...]] = []
         while True:
             count = self.gate(state)
             if isinstance(count, TerminationReason):
-                return PsiTrace(tuple(steps), tup, count)
-            chosen = tuple(default_choice(self.jnfs[e]) for e in state)
-            steps.append(PsiStep(tup, chosen, tup.n - count))
+                return states, chosen_slots, count
+            chosen = tuple([default_choice(jnfs[e]) for e in state])
+            chosen_slots.append(chosen)
             state = [self.child(e, c, count) for e, c in zip(state, chosen)]
-            tup = JnfTuple([self.jnfs[e] for e in state])
+            states.append(state)
+
+    def trace(self, tup: JnfTuple) -> PsiTrace:
+        """The default-choice reduction of `walk` as a trace of tuples; they
+        are built only here, once per state, from entries already checked."""
+        states, chosen_slots, reason = self.walk(tup)
+        jnfs = self.jnfs
+        tuples = [tup]
+        for state in states[1:]:
+            tuples.append(JnfTuple._of_one_size(tuple([jnfs[e] for e in state])))
+        steps = tuple(
+            PsiStep(t, c, after.n) for t, c, after in zip(tuples, chosen_slots, tuples[1:])
+        )
+        return PsiTrace(steps, tuples[-1], reason)
 
 
 def psi_defined(tup: JnfTuple) -> bool:
@@ -309,18 +339,27 @@ def psi_step(tup: JnfTuple, choice: Optional[Sequence[int]] = None) -> JnfTuple:
         raise PsiUndefinedError(
             "reduction step undefined: needs alpha and beta to hold, omega to fail, n > 1"
         )
+    entries = tup.entries
     if choice is None:
-        chosen = [default_choice(e) for e in tup.entries]
+        chosen = [default_choice(e) for e in entries]
     else:
-        chosen = list(choice)
-        if len(chosen) != len(tup.entries):
+        try:
+            chosen = list(choice)
+        except TypeError:
+            raise InvalidChoiceError(
+                f"choice must be a sequence of slot indices, got {choice!r}"
+            ) from None
+        if len(chosen) != len(entries):
             raise InvalidChoiceError("one slot choice per entry required")
-        for e, c in zip(tup.entries, chosen):
-            if c not in maximizer_slots(e):
+        for e, c in zip(entries, chosen):
+            if c.__class__ is not int:
+                raise InvalidChoiceError(f"slot choices must be ints, got {c!r}")
+            if not (0 <= c < len(e.slots) and e.slots[c].num_parts == e.max_blocks):
                 raise InvalidChoiceError(
                     f"slot {c} of {e} does not attain the maximal block count"
                 )
-    return JnfTuple([_shrink_slot(e, c, count) for e, c in zip(tup.entries, chosen)])
+    # every shrunk entry has size n1, so the tuple needs no size check
+    return JnfTuple._of_one_size(tuple([e._shrunk(c, count) for e, c in zip(entries, chosen)]))
 
 
 def decide_generic(tup: JnfTuple) -> DecisionReport:

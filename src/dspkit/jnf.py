@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cached_property
 from operator import attrgetter
 from typing import Hashable, Iterable, Mapping, Sequence
 
@@ -35,25 +34,55 @@ __all__ = [
 ]
 
 
+class _lazy:
+    """Non-data descriptor for an invariant computed on first read.
+
+    The value goes into the instance `__dict__`, where every later read finds
+    it without calling the descriptor.  Unlike `functools.cached_property` on
+    Python 3.11 it takes no lock.
+    """
+
+    def __init__(self, func):
+        self.func = func
+        self.name = func.__name__
+        self.__doc__ = func.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
+
+
 @dataclass(frozen=True)
 class Partition:
     """Weakly decreasing tuple of positive integers (Jordan block sizes).
 
-    `total` (the sum of the parts) and `num_parts` are stored on the value.
+    Parts must be ints (bools are not); anything else raises
+    InvalidInputError.  `total` (the sum of the parts) and `num_parts` are
+    stored on the value.
     """
 
     parts: tuple[int, ...]
 
     def __init__(self, parts: Iterable[int]):
-        norm = tuple(sorted(map(int, parts), reverse=True))
+        try:
+            norm = tuple(sorted(parts, reverse=True))
+            total = sum(norm)
+        except TypeError:
+            raise InvalidInputError(
+                f"partition parts must be integers, got {parts!r}"
+            ) from None
+        # a float, string or other non-int part shows in the type of the sum;
+        # a bool does not, since bool is an int subclass
+        if total.__class__ is not int or bool in map(type, norm):
+            raise InvalidInputError(f"partition parts must be integers, got {norm!r}")
         if not norm:
             raise InvalidInputError("partition must have at least one part")
         if norm[-1] < 1:
             raise InvalidInputError(f"partition parts must be positive, got {norm}")
         # frozen: write the instance dict directly, as object.__setattr__ would
-        self.__dict__.update(
-            parts=norm, total=sum(norm), num_parts=len(norm), _hash=hash((norm,))
-        )
+        self.__dict__.update(parts=norm, total=total, num_parts=len(norm), _hash=hash((norm,)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -88,21 +117,27 @@ class Jnf:
 
     Slots are stored in a canonical order (partitions sorted descending by
     their parts tuple) so structural equality means multiset equality.
-    The size, the largest block count of a slot (`max_blocks`) and
-    r = size - max_blocks are stored on the value; z and d are computed on
-    first use and then stored.
+    A slot is a `Partition` or an iterable of int parts; anything else
+    raises InvalidInputError.  The size, the largest block count of a slot
+    (`max_blocks`) and r = size - max_blocks are stored on the value; z and d
+    are computed on first use and then stored.
     """
 
     slots: tuple[Partition, ...]
 
     def __init__(self, slots: Iterable[Iterable[int] | Partition]):
-        norm = tuple(
-            sorted(
-                (s if isinstance(s, Partition) else Partition(s) for s in slots),
-                key=_parts_of,
-                reverse=True,
+        try:
+            norm = tuple(
+                sorted(
+                    (s if isinstance(s, Partition) else Partition(s) for s in slots),
+                    key=_parts_of,
+                    reverse=True,
+                )
             )
-        )
+        except TypeError:
+            raise InvalidInputError(
+                f"JNF slots must be an iterable of partitions, got {slots!r}"
+            ) from None
         if not norm:
             raise InvalidInputError("JNF must have at least one eigenvalue slot")
         size = 0
@@ -125,12 +160,12 @@ class Jnf:
             return NotImplemented
         return self._hash == other._hash and self.slots == other.slots
 
-    @cached_property
+    @_lazy
     def z(self) -> int:
         """Centralizer dimension, computed on first use."""
         return sum((2 * i - 1) * b for s in self.slots for i, b in enumerate(s.parts, start=1))
 
-    @cached_property
+    @_lazy
     def d(self) -> int:
         """Class dimension size^2 - z, computed on first use; always even."""
         d = self.size * self.size - self.z
@@ -148,28 +183,102 @@ class Jnf:
     def is_diagonal(self) -> bool:
         return all(p == 1 for s in self.slots for p in s.parts)
 
+    def _shrunk(self, slot: int, count: int) -> "Jnf":
+        """This JNF with the `count` smallest blocks of slot `slot` shrunk by
+        1 and zero blocks dropped; 1 <= count <= that slot's block count.
+
+        Built from this value's invariants without re-sorting or
+        re-validating: the shrunk parts stay descending, and they compare
+        below the old ones, so the new slot sorts after position `slot`.
+        With k blocks, keep = k - count of them untouched, and b_i weighted
+        by 2i - 1 in z, z falls by the sum of 2i - 1 over i = keep+1..k,
+        which is k^2 - keep^2.
+        """
+        slots = self.slots
+        old = slots[slot]
+        parts = old.parts
+        k = old.num_parts
+        keep = k - count
+        assert 0 <= keep < k, "cannot shrink more blocks than the slot has"
+        if parts[keep] == 1:
+            # the shrunk blocks are the smallest: a first one of size 1 means all vanish
+            new_parts = parts[:keep]
+        else:
+            new_parts = parts[:keep] + tuple([b - 1 for b in parts[keep:] if b > 1])
+        max_blocks = self.max_blocks
+        if new_parts:
+            at = slot + 1
+            end = len(slots)
+            while at < end and slots[at].parts > new_parts:
+                at += 1
+            new = _object_new(Partition)
+            new.__dict__.update(
+                parts=new_parts,
+                total=old.total - count,
+                num_parts=len(new_parts),
+                _hash=hash((new_parts,)),
+            )
+            child = slots[:slot] + slots[slot + 1 : at] + (new,) + slots[at:]
+        else:
+            child = slots[:slot] + slots[slot + 1 :]
+            if not child:
+                raise InvalidInputError("JNF must have at least one eigenvalue slot")
+        if k == max_blocks and len(new_parts) < k:
+            max_blocks = max([s.num_parts for s in child])
+        size = self.size - count
+        z = self.z - (k * k - keep * keep)
+        jnf = _object_new(Jnf)
+        jnf.__dict__.update(
+            slots=child,
+            size=size,
+            max_blocks=max_blocks,
+            r=size - max_blocks,
+            _hash=hash((child,)),
+            z=z,
+            d=size * size - z,
+        )
+        return jnf
+
     def __repr__(self) -> str:
         inner = ",".join(str(list(s.parts)) for s in self.slots)
         return f"Jnf[{inner}]"
+
+
+_object_new = object.__new__
 
 
 @dataclass(frozen=True)
 class JnfTuple:
     """Tuple of p+1 JNFs sharing one size n (the conjugacy-class prescriptions).
 
-    Entry order matters for equality.  `n` is stored on the value.
+    Entry order matters for equality.  An entry is a `Jnf` or an iterable of
+    slots as `Jnf` takes them; anything else raises InvalidInputError.  `n`
+    is stored on the value.
     """
 
     entries: tuple[Jnf, ...]
 
     def __init__(self, entries: Iterable[Jnf | Iterable]):
-        norm = tuple(e if isinstance(e, Jnf) else Jnf(e) for e in entries)
+        try:
+            norm = tuple(e if isinstance(e, Jnf) else Jnf(e) for e in entries)
+        except TypeError:
+            raise InvalidInputError(
+                f"tuple entries must be an iterable of JNFs, got {entries!r}"
+            ) from None
         if len(norm) < 2:
             raise InvalidInputError("a tuple needs at least two entries (p >= 1)")
         sizes = {e.size for e in norm}
         if len(sizes) != 1:
             raise InvalidInputError(f"all entries must share one size, got {sorted(sizes)}")
         self.__dict__.update(entries=norm, n=norm[0].size, _hash=hash((norm,)))
+
+    @classmethod
+    def _of_one_size(cls, entries: tuple[Jnf, ...]) -> "JnfTuple":
+        """A tuple of at least two entries already known to share one size,
+        built without the checks."""
+        tup = _object_new(cls)
+        tup.__dict__.update(entries=entries, n=entries[0].size, _hash=hash((entries,)))
+        return tup
 
     def __hash__(self) -> int:
         return self._hash

@@ -165,8 +165,11 @@ def realize(specs: Sequence[ClassSpec], budget: SearchBudget = SearchBudget()):
         if cond_max <= budget.cond_cap:
             all_over_cap = False
         A, residual = _residual_of(G, Q, multiplicative)
+        # the residual is cheap; membership runs eigenvalue and rank SVDs
+        if not residual < budget.residual_tol:
+            continue
         membership = all(numeric[j].membership(A[j]) for j in range(m))
-        if not (residual < budget.residual_tol and membership):
+        if not membership:
             continue
         bdim = burnside_dim(list(A), budget.rank_tol)
         nullity = centralizer_nullity(list(A), budget.rank_tol)

@@ -138,6 +138,34 @@ def naive_relation_count(specs, cardinality: int) -> int:
     return found
 
 
+def shrink_plain(slots, slot: int, count: int) -> list[list[int]]:
+    """Plain int slots with the `count` smallest blocks of slot `slot` shrunk
+    by 1 and zero blocks dropped, in no particular order."""
+    out = [sorted(parts) for parts in slots]
+    smallest_first = out.pop(slot)
+    shrunk = [b - 1 for b in smallest_first[:count]] + smallest_first[count:]
+    shrunk = [b for b in shrunk if b > 0]
+    return out + ([shrunk] if shrunk else [])
+
+
+def assert_same_as_checked(fast, checked) -> None:
+    """A Jnf or JnfTuple `fast` built on a trusted path equals `checked`, the
+    value a public constructor built from plain int parts: same slot order,
+    hashes and stored invariants."""
+    if isinstance(fast, JnfTuple):
+        assert fast == checked and hash(fast) == hash(checked), (fast, checked)
+        assert fast.n == checked.n and len(fast.entries) == len(checked.entries)
+        for a, b in zip(fast.entries, checked.entries):
+            assert_same_as_checked(a, b)
+        return
+    assert [s.parts for s in fast.slots] == [s.parts for s in checked.slots], (fast, checked)
+    assert fast == checked and hash(fast) == hash(checked), (fast, checked)
+    for name in ("size", "max_blocks", "r", "z", "d"):
+        assert getattr(fast, name) == getattr(checked, name), (name, fast)
+    for a, b in zip(fast.slots, checked.slots):
+        assert (a.total, a.num_parts, hash(a)) == (b.total, b.num_parts, hash(b)), fast
+
+
 def star_root_verdict(tup: JnfTuple) -> bool:
     """Whether the star-quiver dimension vector of `tup` is a positive root.
 

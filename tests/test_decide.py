@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from dspkit.classify import is_good
 from dspkit.decide import (
     TerminationReason,
     Verdict,
@@ -18,7 +19,7 @@ from dspkit.enumerate import random_psi_defined_tuple
 from dspkit.errors import InvalidChoiceError, NotApplicableError, PsiUndefinedError
 from dspkit.jnf import Jnf, JnfTuple, kappa_of
 
-from oracles import star_root_verdict
+from oracles import assert_same_as_checked, shrink_plain, star_root_verdict
 
 
 def diag(*mults):
@@ -86,6 +87,41 @@ class TestPsiStep:
         )
         with pytest.raises(InvalidChoiceError):
             psi_step(ODD3, [non_max, 0, 0])
+
+    @pytest.mark.parametrize(
+        "choice", [5, [0.0, 0, 0], [True, 0, 0], ["0", 0, 0], [0, 0], [-1, 0, 0], [9, 0, 0]]
+    )
+    def test_bad_choice_raises_invalid_choice(self, choice):
+        # on ODD3 the step is defined and slot 0 is a maximizer of every entry
+        assert [maximizer_slots(e)[0] for e in ODD3.entries] == [0, 0, 0]
+        with pytest.raises(InvalidChoiceError):
+            psi_step(ODD3, choice)
+
+    def test_every_choice_equals_checked_tuple(self):
+        """psi_step over every choice of maximizer slots, on every
+        reduction-defined tuple with n <= 5 and 3-4 entries, equals the tuple
+        the checked constructors build from plain int parts."""
+        import itertools
+
+        from dspkit.enumerate import all_jnfs
+
+        steps = 0
+        for n in range(2, 6):
+            for m in (3, 4):
+                for combo in itertools.combinations_with_replacement(all_jnfs(n), m):
+                    tup = JnfTuple(combo)
+                    if not psi_defined(tup):
+                        continue
+                    count = 2 * n - sum(e.r for e in tup.entries)
+                    options = [maximizer_slots(e) for e in tup.entries]
+                    for choice in itertools.product(*options):
+                        plain = [
+                            shrink_plain([s.parts for s in e.slots], c, count)
+                            for e, c in zip(tup.entries, choice)
+                        ]
+                        assert_same_as_checked(psi_step(tup, choice), JnfTuple(plain))
+                        steps += 1
+        assert steps == 11780
 
     def test_explicit_maximizer_choice(self):
         choice = [maximizer_slots(e)[0] for e in ODD3.entries]
@@ -167,11 +203,16 @@ def _assert_trace_matches(tup) -> bool:
     report = decide_generic(tup)
     root = star_root_verdict(tup)
     assert (report.verdict is Verdict.SOLVABLE) == root, tup
+    assert is_good(tup) == root, tup
     steps, terminal, reason = _plain_trace(_plain(tup))
     got = [(_plain(s.input), s.chosen_slots, s.n1) for s in report.trace.steps]
     assert got == steps, tup
     assert _plain(report.trace.terminal) == terminal, tup
     assert report.trace.termination_reason.value == reason, tup
+    if report.trace.steps:
+        # every tuple after the input is built on the trusted path
+        for t in [s.input for s in report.trace.steps[1:]] + [report.trace.terminal]:
+            assert_same_as_checked(t, JnfTuple(_plain(t)))
     for step in report.trace.steps:
         for e in step.input.entries:
             top = max(len(s.parts) for s in e.slots)
@@ -181,8 +222,9 @@ def _assert_trace_matches(tup) -> bool:
 
 class TestTraceAgainstPlainTuples:
     """decide_generic traces equal a recomputation on plain int tuples, and
-    its verdicts equal the star-quiver root test (Kac; Crawley-Boevey 2003,
-    Thm 1), which shares no code with the reduction."""
+    its verdicts and is_good's equal the star-quiver root test (Kac;
+    Crawley-Boevey 2003, Thm 1), which shares no code with the reduction.
+    Every trace tuple equals the checked constructors' value from its parts."""
 
     def test_every_small_reduction_defined_tuple(self):
         """Every tuple with n <= 5 and 2-4 entries, reduction-defined or not."""

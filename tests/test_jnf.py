@@ -22,7 +22,13 @@ from dspkit.jnf import (
 )
 from dspkit.enumerate import all_jnfs, random_jnf
 
-from oracles import commutant_nullity_exact, jordan_matrix_exact, min_shifted_rank_exact
+from oracles import (
+    assert_same_as_checked,
+    commutant_nullity_exact,
+    jordan_matrix_exact,
+    min_shifted_rank_exact,
+    shrink_plain,
+)
 
 
 class TestPartition:
@@ -34,6 +40,13 @@ class TestPartition:
             Partition([2, 0])
         with pytest.raises(InvalidInputError):
             Partition([])
+
+    @pytest.mark.parametrize(
+        "parts", [[1.5, 2], [2.0], ["a"], [1, "a"], [True], [2, True], [None], 5, "ab"]
+    )
+    def test_rejects_non_integer_parts(self, parts):
+        with pytest.raises(InvalidInputError):
+            Partition(parts)
 
     def test_dual(self):
         assert Partition([3, 1]).dual().parts == (2, 1, 1)
@@ -61,6 +74,20 @@ class TestJnfBasics:
             JnfTuple([Jnf([[2]]), Jnf([[3]])])
         with pytest.raises(InvalidInputError):
             JnfTuple([Jnf([[2]])])
+
+    @pytest.mark.parametrize("slots", [3, [[1], 2], [[1], [1.5, 0.5]], [[1], "a"]])
+    def test_jnf_rejects_non_integer_slots(self, slots):
+        with pytest.raises(InvalidInputError):
+            Jnf(slots)
+
+    @pytest.mark.parametrize("tail", [5, [[1.5]], "ab", [["a"]], None])
+    def test_tuple_rejects_non_integer_entries(self, tail):
+        with pytest.raises(InvalidInputError):
+            JnfTuple([Jnf([[1]]), tail])
+
+    def test_tuple_rejects_non_iterable(self):
+        with pytest.raises(InvalidInputError):
+            JnfTuple(7)
 
 
 class TestStoredInvariants:
@@ -126,6 +153,31 @@ class TestStoredInvariants:
         assert Jnf([[1]]) != Partition([1])
         assert Partition([1]) != (1,)
         assert JnfTuple([Jnf([[1]])] * 2) != (Jnf([[1]]),) * 2
+
+
+class TestTrustedChildren:
+    """`Jnf._shrunk` builds a child from its parent's invariants, without
+    sorting or checks; every child equals the checked constructor's value."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_every_slot_and_count(self, n):
+        for jnf in all_jnfs(n):
+            raw = [s.parts for s in jnf.slots]
+            for slot, partition in enumerate(jnf.slots):
+                for count in range(1, partition.num_parts + 1):
+                    plain = shrink_plain(raw, slot, count)
+                    if not plain:
+                        with pytest.raises(InvalidInputError):
+                            jnf._shrunk(slot, count)
+                        continue
+                    child = jnf._shrunk(slot, count)
+                    assert_same_as_checked(child, Jnf(plain))
+                    # a child's own children start from its derived z
+                    child_raw = [s.parts for s in child.slots]
+                    for i, s in enumerate(child.slots):
+                        grand = shrink_plain(child_raw, i, s.num_parts)
+                        if grand:
+                            assert_same_as_checked(child._shrunk(i, s.num_parts), Jnf(grand))
 
 
 class TestInvariantExamples:
