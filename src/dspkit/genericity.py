@@ -237,10 +237,25 @@ def _integer_keys(specs: Sequence[ClassSpec]) -> tuple[int, list]:
     return wrap, steps
 
 
+def _constraint_holds(keys: tuple[int, list]) -> bool:
+    """`check_evs` on the integer keys: whether the full selection's key is 0."""
+    wrap, steps = keys
+    total = 0
+    for entry_steps in steps:
+        for copies in entry_steps:
+            step, low = copies[-1]
+            total += step
+            if low and total % wrap < low:
+                total -= wrap
+    return total == 0
+
+
 class _StateBudget:
     """Counts the exact-value DP states of one cardinality k against a cap."""
 
     def __init__(self, what: str, k: int, limit: int, used: int = 0):
+        if isinstance(limit, bool) or not isinstance(limit, int) or limit < 1:
+            raise InvalidInputError(f"state_budget must be an int >= 1, got {limit!r}")
         self.what = what
         self.k = k
         self.limit = limit
@@ -284,49 +299,50 @@ def _grow_layers(wrap: int, steps: list, layers: list, k: int, budget: _StateBud
 
 
 def _relation_pairs(keys: tuple[int, list], per_entry: list, k: int, budget: _StateBudget):
-    """Grow every entry's DP to layer k, fold layer k over each half of the
-    entries, and yield the [selections, number] of each left value together
-    with that of its complement on the right (meet in the middle).
+    """Grow every entry's DP to layer k and yield the selections, in entry
+    order, and the number of selections of each relation value at k.
+
+    Layer k is folded over every entry but the one whose layer-k dict is
+    largest; each folded value's complement is looked up in that dict, which
+    is never folded, and the number is the fold's times the lookup's.
     """
     wrap, steps = keys
     for entry_steps, layers in zip(steps, per_entry):
         _grow_layers(wrap, entry_steps, layers, k, budget)
-    half = len(per_entry) // 2
-    folds = []
-    for part in (per_entry[:half], per_entry[half:]):
-        acc = {0: [(), 1]}
-        for layers in part:
-            row = [(v2, v2 % wrap, w2, c2) for v2, (w2, c2) in layers[k][-1].items()]
-            new_acc: dict = {}
-            for v1, (w1, c1) in acc.items():
-                for v2, low, w2, c2 in row:
-                    nv = v1 + v2
-                    if low and nv % wrap < low:
-                        nv -= wrap
-                    hit = new_acc.get(nv)
-                    if hit is None:
-                        budget.take()
-                        new_acc[nv] = [w1 + (w2,), c1 * c2]
-                    else:
-                        hit[1] += c1 * c2
-            acc = new_acc
-        folds.append(acc)
-    left, right = folds
-    for value, entry in left.items():
-        hit = right.get(wrap - value if value % wrap else -value)
+    big = max(range(len(per_entry)), key=lambda e: len(per_entry[e][k][-1]))
+    acc = {0: [(), 1]}
+    for layers in per_entry[:big] + per_entry[big + 1 :]:
+        row = [(v2, v2 % wrap, w2, c2) for v2, (w2, c2) in layers[k][-1].items()]
+        new_acc: dict = {}
+        for v1, (w1, c1) in acc.items():
+            for v2, low, w2, c2 in row:
+                nv = v1 + v2
+                if low and nv % wrap < low:
+                    nv -= wrap
+                hit = new_acc.get(nv)
+                if hit is None:
+                    budget.take()
+                    new_acc[nv] = [w1 + (w2,), c1 * c2]
+                else:
+                    hit[1] += c1 * c2
+        acc = new_acc
+    lookup = per_entry[big][k][-1]
+    for value, (selections, number) in acc.items():
+        hit = lookup.get(wrap - value if value % wrap else -value)
         if hit is not None:
-            yield entry, hit
+            yield selections[:big] + (hit[0],) + selections[big:], number * hit[1]
 
 
-def _pairs_by_cardinality(specs, what: str, state_budget: int):
-    """Yield k and the `_relation_pairs` of k for k = 1..n-1 from one DP grown
-    across k.  The states of layers 0..k-1 start the budget of k, so each k is
-    charged, and overruns, exactly as a DP grown from layer 0 up to k."""
-    keys = _integer_keys(specs)
-    per_entry: list[list] = [[] for _ in specs]
-    for k in range(1, specs[0].n):
-        grown = sum(len(st) for layers in per_entry for stages in layers for st in stages[1:])
-        budget = _StateBudget(what, k, state_budget, used=grown)
+def _pairs_by_cardinality(keys: tuple[int, list], what: str, state_budget: int, last: int):
+    """Yield k and the `_relation_pairs` of k for k = 1..last from one DP
+    grown across k.  The states of layers 0..k-1 start the budget of k, so
+    each k is charged, and overruns, exactly as a DP grown from layer 0 up
+    to k."""
+    budget = _StateBudget(what, 0, state_budget)
+    per_entry: list[list] = [[] for _ in keys[1]]
+    for k in range(1, last + 1):
+        budget.k = k
+        budget.used = sum(len(st) for layers in per_entry for stages in layers for st in stages[1:])
         yield k, _relation_pairs(keys, per_entry, k, budget)
 
 
@@ -335,8 +351,9 @@ def _relation_counts(specs: Sequence[ClassSpec], state_budget: int = DEFAULT_STA
     k = 1..n-1 in turn, from one DP grown across k; each k raises the same
     errors as that call."""
     validate_specs(specs)
-    for _, pairs in _pairs_by_cardinality(specs, "relation counting", state_budget):
-        yield sum(left[1] * right[1] for left, right in pairs)
+    keys = _integer_keys(specs)
+    for _, pairs in _pairs_by_cardinality(keys, "relation counting", state_budget, specs[0].n - 1):
+        yield sum(number for _, number in pairs)
 
 
 def find_relation(
@@ -345,20 +362,25 @@ def find_relation(
     """Smallest-cardinality non-genericity relation, or None when generic.
 
     Each entry's bounded-knapsack DP over its slot multiplicities grows one
-    cardinality layer per k = 1..n-1; layer k is folded over the two halves
-    of the entries and the first left value whose complement is on the right
-    gives the witness.  The budget of k counts the DP states of layers 0..k
-    and the fold states of k.  Raises InvalidInputError for specs that
-    `validate_specs` rejects, and ResourceExceededError above size
-    MAX_RELATION_SIZE or past `state_budget`.
+    cardinality layer per k; layer k is folded over every entry but the one
+    with the most layer-k values, and the first folded value whose
+    complement that entry reaches gives the witness.  k runs up to n-1, or
+    up to n/2 when the global constraint holds, since the complement of a
+    k-relation is then an (n-k)-relation.  The budget of k counts the DP
+    states of layers 0..k and the fold states of k.  Raises
+    InvalidInputError for specs that `validate_specs` rejects or a
+    `state_budget` that is not an int >= 1, and ResourceExceededError above
+    size MAX_RELATION_SIZE or past `state_budget`.
     """
     validate_specs(specs)
     n = specs[0].n
     if n > MAX_RELATION_SIZE:
         raise ResourceExceededError(f"relation enumeration capped at size {MAX_RELATION_SIZE}")
-    for k, pairs in _pairs_by_cardinality(specs, "relation search", state_budget):
-        for (left, _), (right, _) in pairs:
-            return RelationWitness(k, left + right)
+    keys = _integer_keys(specs)
+    last = n // 2 if _constraint_holds(keys) else n - 1
+    for k, pairs in _pairs_by_cardinality(keys, "relation search", state_budget, last):
+        for selections, _ in pairs:
+            return RelationWitness(k, selections)
     return None
 
 
@@ -369,18 +391,20 @@ def relation_selection_count(
 
     Selections are counted at the level of per-slot copy counts (index sets
     with equal counts realize the same equality).  The DP of `find_relation`
-    is grown to layer `cardinality` and folded over the two halves; the count
-    sums left number times right number over complementary values.  Raises
-    InvalidInputError for specs that `validate_specs` rejects or a
-    cardinality outside 1..n-1, and ResourceExceededError past `state_budget`.
+    is grown to layer `cardinality` and folded over all entries but the
+    largest; the count sums the fold's number times the largest entry's
+    number over complementary values.  Raises InvalidInputError for specs
+    that `validate_specs` rejects, a cardinality outside 1..n-1 (bools
+    included) or a `state_budget` that is not an int >= 1, and
+    ResourceExceededError past `state_budget`.
     """
     validate_specs(specs)
     n = specs[0].n
-    if not isinstance(cardinality, int) or not 1 <= cardinality < n:
+    if isinstance(cardinality, bool) or not isinstance(cardinality, int) or not 1 <= cardinality < n:
         raise InvalidInputError(f"cardinality must be in 1..{n - 1}, got {cardinality!r}")
     budget = _StateBudget("relation counting", cardinality, state_budget)
     pairs = _relation_pairs(_integer_keys(specs), [[] for _ in specs], cardinality, budget)
-    return sum(left[1] * right[1] for left, right in pairs)
+    return sum(number for _, number in pairs)
 
 
 def gcd_reduction(specs: Sequence[ClassSpec]) -> GcdReduction:
@@ -454,7 +478,12 @@ _MIN_GAP = Fraction(1, 8)
 
 
 def _well_scaled(values, mode: str) -> bool:
-    """Keep sampled spectra numerically tame: bounded values, separated slots."""
+    """Keep sampled spectra numerically tame: bounded values, separated slots.
+
+    Arguments of equal modulus stay 1/16 apart, or 1/(2S) among S > 8 slots:
+    the middle halves of S equal cells of [0, 1) are more than 1/(2S) apart,
+    so the sampler's free slots always pass.
+    """
     if mode == "additive":
         if any(abs(v.re) > _VALUE_CAP or abs(v.im) > _VALUE_CAP for v in values):
             return False
@@ -463,10 +492,11 @@ def _well_scaled(values, mode: str) -> bool:
                 if abs(a.re - b.re) < _MIN_GAP and abs(a.im - b.im) < _MIN_GAP:
                     return False
     else:
+        min_arc = min(_MIN_GAP / 2, Fraction(1, 2 * len(values)))
         for i, a in enumerate(values):
             for b in values[i + 1 :]:
                 gap = abs(a.arg - b.arg)
-                if min(gap, 1 - gap) < _MIN_GAP / 2 and a.modulus == b.modulus:
+                if min(gap, 1 - gap) < min_arc and a.modulus == b.modulus:
                     return False
     return True
 

@@ -3,7 +3,8 @@
 Exact rational linear algebra on explicit Jordan matrices: these never touch
 the closed forms they are checking.  The Gauss-Newton references build the
 Jacobian from np.kron and solve the dense normal equations, the forms the
-kernel avoids.
+kernel avoids.  The half-split relation DP is the relation search's earlier
+fold, kept to compare the lookup split against on the same integer keys.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from dspkit.genericity import _grow_layers, _integer_keys, _StateBudget
 from dspkit.jnf import Jnf, JnfTuple
 from dspkit.scalars import AdditiveScalar, MultiplicativeScalar
 
@@ -136,6 +138,58 @@ def naive_relation_count(specs, cardinality: int) -> int:
             total = total + v if additive else total * v
         found += total == identity
     return found
+
+
+def half_split_pairs(keys, per_entry, k, budget):
+    """The relation DP's earlier meet in the middle, kept as a reference: grow
+    every entry's DP to layer k, fold layer k over each half of the entries
+    (split at len // 2), and yield the [selections, number] of each left
+    value together with that of its complement on the right."""
+    wrap, steps = keys
+    for entry_steps, layers in zip(steps, per_entry):
+        _grow_layers(wrap, entry_steps, layers, k, budget)
+    half = len(per_entry) // 2
+    folds = []
+    for part in (per_entry[:half], per_entry[half:]):
+        acc = {0: [(), 1]}
+        for layers in part:
+            row = [(v2, v2 % wrap, w2, c2) for v2, (w2, c2) in layers[k][-1].items()]
+            new_acc: dict = {}
+            for v1, (w1, c1) in acc.items():
+                for v2, low, w2, c2 in row:
+                    nv = v1 + v2
+                    if low and nv % wrap < low:
+                        nv -= wrap
+                    hit = new_acc.get(nv)
+                    if hit is None:
+                        budget.take()
+                        new_acc[nv] = [w1 + (w2,), c1 * c2]
+                    else:
+                        hit[1] += c1 * c2
+            acc = new_acc
+        folds.append(acc)
+    left, right = folds
+    for value, entry in left.items():
+        hit = right.get(wrap - value if value % wrap else -value)
+        if hit is not None:
+            yield entry, hit
+
+
+def half_split_relations(specs):
+    """Per-k relation counts for k = 1..n-1 and the first witness (k,
+    selections) of the smallest k, or None, by `half_split_pairs` on one DP
+    grown across k, with no practical state budget; it never stops early at
+    n/2."""
+    keys = _integer_keys(specs)
+    per_entry = [[] for _ in specs]
+    budget = _StateBudget("reference relation search", 0, 10**18)
+    counts, witness = [], None
+    for k in range(1, specs[0].n):
+        pairs = list(half_split_pairs(keys, per_entry, k, budget))
+        counts.append(sum(left[1] * right[1] for left, right in pairs))
+        if pairs and witness is None:
+            witness = k, pairs[0][0][0] + pairs[0][1][0]
+    return counts, witness
 
 
 def shrink_plain(slots, slot: int, count: int) -> list[list[int]]:

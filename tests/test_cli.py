@@ -143,6 +143,38 @@ class TestGeneric:
         assert code == 3
         assert report["relation"]["status"] == "resource_exceeded"
 
+    @pytest.mark.parametrize("n, generic", [(12, True), (14, True), (16, False)])
+    def test_sampled_hypergeometric_rows(self, capsys, tmp_path, n, generic):
+        # the relation search looks complements up in the largest class and
+        # stops at k = n/2; at n = 16 and k = 8 the DP stages of the two
+        # 16-slot classes hold 179,714 states, and the fold of one of them
+        # with the third class passes the default budget
+        from dspkit.classify import RigidFamily, rigid_family_tuple
+        from dspkit.genericity import sample_generic
+        from dspkit.scalars import format_scalar
+
+        specs = sample_generic(rigid_family_tuple(RigidFamily.HYPERGEOMETRIC, n), "additive", 3)
+        classes = [
+            {"blocks": [list(p.parts) for p in s.jnf.slots],
+             "eigenvalues": [format_scalar(ev) for ev in s.eigenvalues]}
+            for s in specs
+        ]
+        path = tmp_path / f"hypergeometric_n{n}.json"
+        path.write_text(json.dumps({"mode": "additive", "classes": classes}))
+        code, (report,) = run(capsys, "generic", str(path))
+        assert report["evs_ok"] is True and report["generalized_beta"] is True
+        if generic:
+            assert code == 0
+            assert report["generic"] is True and report["relation"] is None
+        else:
+            assert code == 3
+            assert report["generic"] is None
+            assert report["relation"]["status"] == "resource_exceeded"
+            assert report["relation"]["detail"] == (
+                "relation search exceeded its state budget at cardinality k=8: "
+                "200001 states used, budget 200000"
+            )
+
     def test_generalized_beta_budget_exceeded_keeps_report(self, capsys, monkeypatch):
         import dspkit.genericity as genericity
 

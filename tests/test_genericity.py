@@ -15,6 +15,9 @@ from dspkit.errors import (
 )
 from dspkit.genericity import (
     ClassSpec,
+    _constraint_holds,
+    _integer_keys,
+    _relation_counts,
     check_evs,
     check_generalized_beta,
     exp_map,
@@ -28,11 +31,12 @@ from dspkit.decide import check_conditions
 from dspkit.jnf import Jnf, JnfTuple, Partition
 from dspkit.scalars import AdditiveScalar, MultiplicativeScalar
 
-from oracles import naive_relation_count, naive_relation_exists
+from oracles import half_split_relations, naive_relation_count, naive_relation_exists
 
 ONE = MultiplicativeScalar.one()
 I_UNIT = MultiplicativeScalar(1, Fraction(1, 4))
 MINUS_ONE = MultiplicativeScalar(1, Fraction(1, 2))
+EIGHTH_ROOT = MultiplicativeScalar(1, Fraction(1, 8))
 
 
 def single_slot_specs(mode, blocks, eigenvalues):
@@ -151,7 +155,7 @@ class TestRelationCounting:
         assert relation_selection_count(nongeneric, 2) == 1
         assert relation_selection_count(nongeneric, 3) == 0
 
-    @pytest.mark.parametrize("cardinality", [-1, 0, 4, 5])
+    @pytest.mark.parametrize("cardinality", [-1, 0, 4, 5, True, 2.0])
     def test_cardinality_outside_1_to_n_minus_1_rejected(self, cardinality):
         # n = 4: a relation takes k < n copies, and k = 0 selects nothing
         with pytest.raises(InvalidInputError, match=r"cardinality must be in 1\.\.3, got "):
@@ -203,19 +207,26 @@ def random_small_specs(rng, mode, forced):
     return specs
 
 
-def check_against_oracle(specs, forced=False):
-    """Assert the count at every k, the smallest witness (or None) against
-    brute force; return the witness cardinality or None."""
+def check_against_oracle(specs, forced=False, brute_force=True):
+    """Assert the count at every k and the smallest witness (or None) against
+    the half-split reference DP and the key-sum constraint test against
+    `check_evs`; with `brute_force`, also the counts against exhaustive
+    enumeration and `relation_selection_count` at every k.  Return the
+    witness cardinality or None."""
     n = specs[0].n
     mode = specs[0].mode
-    counts = [naive_relation_count(specs, k) for k in range(1, n)]
-    assert [relation_selection_count(specs, k) for k in range(1, n)] == counts
+    assert _constraint_holds(_integer_keys(specs)) == check_evs(specs)
+    counts, reference = half_split_relations(specs)
+    assert list(_relation_counts(specs)) == counts
+    if brute_force:
+        assert counts == [naive_relation_count(specs, k) for k in range(1, n)]
+        assert [relation_selection_count(specs, k) for k in range(1, n)] == counts
     witness = find_relation(specs)
     if witness is None:
-        assert not any(counts) and not forced
+        assert not any(counts) and not forced and reference is None
         return None
     k = witness.cardinality
-    assert not any(counts[: k - 1]) and counts[k - 1] > 0
+    assert not any(counts[: k - 1]) and counts[k - 1] > 0 and reference[0] == k
     if forced:
         assert k <= n // 2
     value = AdditiveScalar.zero() if mode == "additive" else MultiplicativeScalar.one()
@@ -309,6 +320,103 @@ class TestRelationOracle:
         assert check_against_oracle(specs(Fraction(1, 2))) is None
 
 
+def solve_two(rng, rows, counts, mults):
+    """Solve two of the values in `rows` (one when the selection `counts` is
+    proportional to `mults`) so that the `counts` and `mults` weighted sums
+    are both 0."""
+    flat = [x for row in rows for x in row]
+    c = [x for row in counts for x in row]
+    m = [x for row in mults for x in row]
+    pairs = [(a, b) for a in range(len(m)) for b in range(a + 1, len(m))
+             if c[a] * m[b] != c[b] * m[a]]
+    if pairs:
+        a, b = rng.choice(pairs)
+        rest_c = -sum(ci * x for i, (ci, x) in enumerate(zip(c, flat)) if i not in (a, b))
+        rest_m = -sum(mi * x for i, (mi, x) in enumerate(zip(m, flat)) if i not in (a, b))
+        det = c[a] * m[b] - c[b] * m[a]
+        flat[a] = (rest_c * m[b] - c[b] * rest_m) / det
+        flat[b] = (c[a] * rest_m - rest_c * m[a]) / det
+    else:
+        a = rng.randrange(len(m))
+        flat[a] = -sum(mi * x for i, (mi, x) in enumerate(zip(m, flat)) if i != a) / m[a]
+    out, pos = [], 0
+    for row in rows:
+        out.append(flat[pos : pos + len(row)])
+        pos += len(row)
+    return out
+
+
+def planted_specs(rng, tup, mode):
+    """Values on `tup` that meet the global constraint and hold a relation at
+    a random k in 1..n-1, or None when 100 draws leave equal values in one
+    class (a planted relation can force that: with multiplicities 2 | 2 | 1+1
+    and k = 1, the last class's two values are equal).  Small denominators
+    plant other relations too."""
+    mults = [e.multiplicities() for e in tup.entries]
+    for _ in range(100):
+        k = rng.randint(1, tup.n - 1)
+        counts = []
+        for row in mults:
+            picked = rng.sample([j for j, m in enumerate(row) for _ in range(m)], k)
+            counts.append([picked.count(j) for j in range(len(row))])
+        if mode == "additive":
+            re = [[Fraction(rng.randint(-4, 4), rng.choice([1, 2, 3])) for _ in row] for row in mults]
+            im = [[Fraction(rng.choice([0, 0, 1, -1])) for _ in row] for row in mults]
+            re, im = solve_two(rng, re, counts, mults), solve_two(rng, im, counts, mults)
+            values = [[AdditiveScalar(a, b) for a, b in zip(*pair)] for pair in zip(re, im)]
+        else:
+            args = [[Fraction(rng.randrange(24), 24) for _ in row] for row in mults]
+            args = solve_two(rng, args, counts, mults)
+            values = [[MultiplicativeScalar(1, a % 1) for a in row] for row in args]
+        if all(len(set(row)) == len(row) for row in values):
+            return [ClassSpec(list(zip(e.slots, row)), mode) for e, row in zip(tup.entries, values)]
+    return None
+
+
+def good_tuples_by_pattern(max_n):
+    """The first good tuple (2-4 entries, n <= max_n) of each distinct row
+    of slot multiplicities: the relation DPs read only the multiplicities
+    and the eigenvalues, so these are every good tuple's relation problems."""
+    import itertools
+
+    from dspkit.classify import is_good
+    from dspkit.enumerate import all_jnfs
+
+    firsts = {}
+    for n in range(2, max_n + 1):
+        for m in (2, 3, 4):
+            for combo in itertools.combinations_with_replacement(all_jnfs(n), m):
+                tup = JnfTuple(combo)
+                pattern = tuple(e.multiplicities() for e in tup.entries)
+                if pattern not in firsts and is_good(tup):
+                    firsts[pattern] = tup
+    return list(firsts.values())
+
+
+class TestLookupSplitOracle:
+    """The lookup split against the half-split reference on every good tuple
+    with n <= 5, sampled and planted values, both modes; against brute force
+    on every one with n <= 3 and every 32nd of the others."""
+
+    @pytest.mark.parametrize("mode", ["additive", "multiplicative"])
+    def test_good_tuples_up_to_n5(self, mode):
+        smallest, brute_forced = [], 0
+        for seed, tup in enumerate(good_tuples_by_pattern(5)):
+            brute_force = tup.n <= 3 or seed % 32 == 0
+            brute_forced += brute_force
+            try:
+                sampled = sample_generic(tup, mode, seed=seed)
+            except SamplingExhaustedError:
+                assert mode == "additive" and multiplicity_gcd(tup) > 1
+            else:
+                assert check_against_oracle(sampled, brute_force=brute_force) is None
+            planted = planted_specs(random.Random(seed), tup, mode)
+            if planted is not None:
+                smallest.append(check_against_oracle(planted, True, brute_force))
+        assert len(smallest) == 2351 - 27 and {1, 2} == set(smallest)
+        assert brute_forced > 100
+
+
 class TestStateBudget:
     """A budget overrun names the cardinality k, the states used and the cap."""
 
@@ -322,15 +430,33 @@ class TestStateBudget:
 
     @pytest.mark.parametrize("state_budget, k", [(12, 2), (16, 3)])
     def test_find_relation_past_k1(self, state_budget, k):
-        # example41(I_UNIT) has no relation; its search counts 12 states at
-        # k=1, 16 at k=2 and 20 at k=3, since the DP states of the smaller
-        # cardinalities count again at every k
+        # product -1, so no relation and the search runs to k = n-1 = 3: 11
+        # states at k=1, 15 at k=2 and 19 at k=3 (8, 12 and 16 DP states plus
+        # 3 fold states), since the DP states of the smaller cardinalities
+        # count again at every k
         with pytest.raises(ResourceExceededError) as info:
-            find_relation(example41(I_UNIT), state_budget=state_budget)
+            find_relation(example41(EIGHTH_ROOT), state_budget=state_budget)
         assert str(info.value) == (
             f"relation search exceeded its state budget at cardinality k={k}: "
             f"{state_budget + 1} states used, budget {state_budget}"
         )
+
+    def test_find_relation_stops_at_half_n(self):
+        # example41(I_UNIT) meets the constraint, so the search stops at
+        # k = n/2 = 2 after 15 states
+        assert check_evs(example41(I_UNIT)) and not check_evs(example41(EIGHTH_ROOT))
+        assert find_relation(example41(I_UNIT), state_budget=15) is None
+        with pytest.raises(ResourceExceededError, match="at cardinality k=3: 17 states used"):
+            find_relation(example41(EIGHTH_ROOT), state_budget=16)
+
+    @pytest.mark.parametrize("state_budget", [None, 0, -1, 2.5, True, "9"])
+    def test_bad_budget_rejected(self, state_budget):
+        with pytest.raises(InvalidInputError, match="state_budget must be an int >= 1, got "):
+            find_relation(example41(I_UNIT), state_budget=state_budget)
+        with pytest.raises(InvalidInputError, match="state_budget must be an int >= 1, got "):
+            relation_selection_count(example41(I_UNIT), 1, state_budget=state_budget)
+        with pytest.raises(InvalidInputError, match="state_budget must be an int >= 1, got "):
+            next(_relation_counts(example41(I_UNIT), state_budget))
 
     def test_relation_selection_count(self):
         with pytest.raises(ResourceExceededError) as info:
@@ -514,6 +640,12 @@ def multiplicity_gcd(tup):
     return math.gcd(*(m for e in tup.entries for m in e.multiplicities()))
 
 
+PINNED_DRAWS = {
+    "additive": "1a77626e8b176a183fe7b83eaab09fdc0112e8c7add5df9a36712fae9733daa9",
+    "multiplicative": "11c913dfc89ece0c4c62c76f4c08069d9fef553e2d9f10b990d6f596b7297e19",
+}
+
+
 class TestSamplerGenericByConstruction:
     """Draws are generic by construction: checked against the relation DP and
     against brute force, never by the sampler itself."""
@@ -555,8 +687,8 @@ class TestSamplerGenericByConstruction:
                 assert check_evs(specs) and find_relation(specs) is None, (tup, seed)
 
     def test_additive_hypergeometric_n12(self):
-        # the relation DP overruns its budget here, so check the construction:
-        # every slot but one has its own prime denominator above n^2
+        # the construction itself: every slot but one has its own prime
+        # denominator above n^2
         tup = rigid_family_tuple(RigidFamily.HYPERGEOMETRIC, 12)
         for seed in range(5):
             specs = sample_generic(tup, "additive", seed=seed)
@@ -565,6 +697,37 @@ class TestSamplerGenericByConstruction:
             primes = denominators[:-1]
             assert len(set(primes)) == len(primes) == 25
             assert all(p > 144 and all(p % d for d in range(2, p)) for p in primes)
+
+    @pytest.mark.parametrize("mode", ["additive", "multiplicative"])
+    def test_every_rigid_row_from_n9_to_n16(self, mode):
+        # past 8 slots the argument gap narrows to 1/(2S), so 13-16 slots
+        # fit; the relation search finds no relation within its budget on
+        # every row but the hypergeometric one at n = 16, where it overruns
+        # at k = 8 (the DP stages of its two 16-slot classes hold 179,714
+        # states)
+        rows = rigid_rows(16)[14:]
+        assert len(rows) == 16 and {tup.n for tup in rows} == set(range(9, 17))
+        for tup in rows:
+            for seed in range(5):
+                assert check_evs(sample_generic(tup, mode, seed=seed))
+            specs = sample_generic(tup, mode, seed=3)
+            if tup == rigid_family_tuple(RigidFamily.HYPERGEOMETRIC, 16):
+                with pytest.raises(ResourceExceededError, match="at cardinality k=8: 200001"):
+                    find_relation(specs)
+            else:
+                assert find_relation(specs) is None, tup
+
+    @pytest.mark.parametrize("mode", ["additive", "multiplicative"])
+    def test_rows_up_to_n8_draw_pinned_values(self, mode):
+        # the draws of every rigid row with n <= 8 at seeds 0-19, pinned:
+        # the slot-count argument gap leaves rows of at most 8 slots at 1/16
+        import hashlib
+
+        sha = hashlib.sha256()
+        for tup in rigid_rows(8):
+            for seed in range(20):
+                sha.update(repr(sample_generic(tup, mode, seed=seed)).encode())
+        assert sha.hexdigest() == PINNED_DRAWS[mode]
 
     @pytest.mark.parametrize("mults", [[[2, 2]] * 4, [[2, 2, 2]] * 3, [[4, 2], [2, 2, 2], [6]]])
     def test_multiplicative_common_factor_rows_are_generic(self, mults):
