@@ -298,21 +298,12 @@ def _grow_layers(wrap: int, steps: list, layers: list, k: int, budget: _StateBud
             layers[t].append(stage)
 
 
-def _relation_pairs(keys: tuple[int, list], per_entry: list, k: int, budget: _StateBudget):
-    """Grow every entry's DP to layer k and yield the selections, in entry
-    order, and the number of selections of each relation value at k.
-
-    Layer k is folded over every entry but the one whose layer-k dict is
-    largest; each folded value's complement is looked up in that dict, which
-    is never folded, and the number is the fold's times the lookup's.
-    """
-    wrap, steps = keys
-    for entry_steps, layers in zip(steps, per_entry):
-        _grow_layers(wrap, entry_steps, layers, k, budget)
-    big = max(range(len(per_entry)), key=lambda e: len(per_entry[e][k][-1]))
+def _fold(wrap: int, layers: list, budget: _StateBudget) -> dict:
+    """Fold the given layer dicts: map each value of one pick from every dict
+    to [the picks' selections, the number of selections]."""
     acc = {0: [(), 1]}
-    for layers in per_entry[:big] + per_entry[big + 1 :]:
-        row = [(v2, v2 % wrap, w2, c2) for v2, (w2, c2) in layers[k][-1].items()]
+    for layer in layers:
+        row = [(v2, v2 % wrap, w2, c2) for v2, (w2, c2) in layer.items()]
         new_acc: dict = {}
         for v1, (w1, c1) in acc.items():
             for v2, low, w2, c2 in row:
@@ -326,11 +317,45 @@ def _relation_pairs(keys: tuple[int, list], per_entry: list, k: int, budget: _St
                 else:
                     hit[1] += c1 * c2
         acc = new_acc
-    lookup = per_entry[big][k][-1]
-    for value, (selections, number) in acc.items():
+    return acc
+
+
+def _relation_pairs(keys: tuple[int, list], per_entry: list, k: int, budget: _StateBudget):
+    """Grow every entry's DP to layer k and yield the selections, in entry
+    order, and the number of selections of each relation value at k.
+
+    The entries are split in two sides by their layer-k sizes (meet in the
+    middle): the largest starts the lookup side, and the others, largest
+    first, each join the side whose size product is smaller, the folded side
+    on ties.  Each value of the folded side's fold has its complement looked
+    up on the other side: in the fold of that side, or, when it holds one
+    entry only, in that entry's layer-k dict, which is never folded.  The
+    number is the folded side's times the lookup's.
+    """
+    wrap, steps = keys
+    for entry_steps, layers in zip(steps, per_entry):
+        _grow_layers(wrap, entry_steps, layers, k, budget)
+    sizes = [len(layers[k][-1]) for layers in per_entry]
+    order = sorted(range(len(sizes)), key=lambda e: -sizes[e])
+    sides: tuple[list, list] = ([order[0]], [])
+    products = [sizes[order[0]], 1]
+    for e in order[1:]:
+        side = 0 if products[0] < products[1] else 1
+        sides[side].append(e)
+        products[side] *= sizes[e]
+    looked_up, folded = sorted(sides[0]), sorted(sides[1])
+    single = len(looked_up) == 1
+    if single:
+        lookup = per_entry[looked_up[0]][k][-1]
+    else:
+        lookup = _fold(wrap, [per_entry[e][k][-1] for e in looked_up], budget)
+    fold = _fold(wrap, [per_entry[e][k][-1] for e in folded], budget)
+    placed = folded + looked_up
+    for value, (selections, number) in fold.items():
         hit = lookup.get(wrap - value if value % wrap else -value)
         if hit is not None:
-            yield selections[:big] + (hit[0],) + selections[big:], number * hit[1]
+            by_entry = dict(zip(placed, selections + ((hit[0],) if single else hit[0])))
+            yield tuple(by_entry[e] for e in range(len(per_entry))), number * hit[1]
 
 
 def _pairs_by_cardinality(keys: tuple[int, list], what: str, state_budget: int, last: int):
@@ -338,11 +363,10 @@ def _pairs_by_cardinality(keys: tuple[int, list], what: str, state_budget: int, 
     grown across k.  The states of layers 0..k-1 start the budget of k, so
     each k is charged, and overruns, exactly as a DP grown from layer 0 up
     to k."""
-    budget = _StateBudget(what, 0, state_budget)
     per_entry: list[list] = [[] for _ in keys[1]]
     for k in range(1, last + 1):
-        budget.k = k
-        budget.used = sum(len(st) for layers in per_entry for stages in layers for st in stages[1:])
+        grown = sum(len(st) for layers in per_entry for stages in layers for st in stages[1:])
+        budget = _StateBudget(what, k, state_budget, used=grown)
         yield k, _relation_pairs(keys, per_entry, k, budget)
 
 
@@ -362,9 +386,9 @@ def find_relation(
     """Smallest-cardinality non-genericity relation, or None when generic.
 
     Each entry's bounded-knapsack DP over its slot multiplicities grows one
-    cardinality layer per k; layer k is folded over every entry but the one
-    with the most layer-k values, and the first folded value whose
-    complement that entry reaches gives the witness.  k runs up to n-1, or
+    cardinality layer per k; `_relation_pairs` splits the entries in two
+    sides by their layer-k sizes, and the first folded value whose
+    complement the other side reaches gives the witness.  k runs up to n-1, or
     up to n/2 when the global constraint holds, since the complement of a
     k-relation is then an (n-k)-relation.  The budget of k counts the DP
     states of layers 0..k and the fold states of k.  Raises
@@ -391,9 +415,9 @@ def relation_selection_count(
 
     Selections are counted at the level of per-slot copy counts (index sets
     with equal counts realize the same equality).  The DP of `find_relation`
-    is grown to layer `cardinality` and folded over all entries but the
-    largest; the count sums the fold's number times the largest entry's
-    number over complementary values.  Raises InvalidInputError for specs
+    is grown to layer `cardinality` and split in two sides; the count sums
+    the folded side's number times the other side's over complementary
+    values.  Raises InvalidInputError for specs
     that `validate_specs` rejects, a cardinality outside 1..n-1 (bools
     included) or a `state_budget` that is not an int >= 1, and
     ResourceExceededError past `state_budget`.

@@ -4,12 +4,13 @@ Exact rational linear algebra on explicit Jordan matrices: these never touch
 the closed forms they are checking.  The Gauss-Newton references build the
 Jacobian from np.kron and solve the dense normal equations, the forms the
 kernel avoids.  The half-split relation DP is the relation search's earlier
-fold, kept to compare the lookup split against on the same integer keys.
+fold, kept to compare the search's size-based split against on the same
+integer keys.
 """
 
 from __future__ import annotations
 
-import itertools
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -105,39 +106,45 @@ def min_shifted_rank_exact(jnf: Jnf) -> int:
     return best
 
 
-def naive_relation_exists(specs, cardinality: int) -> bool:
-    """Exhaustive check for a relation at one cardinality (tiny sizes only)."""
-    return naive_relation_count(specs, cardinality) > 0
+def naive_relation_counts(specs) -> list[int]:
+    """Number of per-entry copy-count choices, k copies from every entry,
+    whose values sum to 0 (multiply to 1), for k = 1..n-1; exhaustive, tiny
+    sizes only.
 
-
-def naive_relation_count(specs, cardinality: int) -> int:
-    """Number of per-entry copy-count choices, `cardinality` copies from every
-    entry, whose values sum to 0 (multiply to 1); exhaustive, tiny sizes only.
-
-    Computes with the scalar operators of `dspkit.scalars` only, so it shares
-    no arithmetic with the integer keys of the relation DPs.
+    Every entry's copy-count choices are listed slot by slot and grouped by
+    their number of copies; at each cardinality the sums (products) of every
+    choice from the entries but the last are listed, and the last entry's
+    choices that close each are counted by value.  Computes with the scalar
+    operators of `dspkit.scalars` only, so it shares no arithmetic with the
+    integer keys of the relation DPs.
     """
     additive = specs[0].mode == "additive"
     identity = AdditiveScalar.zero() if additive else MultiplicativeScalar.one()
+    n = specs[0].n
+
+    def combine(a, b):
+        return a + b if additive else a * b
+
     per_entry = []
     for spec in specs:
-        mults = spec.multiplicities()
-        options = []
-        for counts in itertools.product(*[range(m + 1) for m in mults]):
-            if sum(counts) != cardinality:
-                continue
-            value = identity
-            for ev, c in zip(spec.eigenvalues, counts):
-                value = value + ev.scale(c) if additive else value * ev**c
-            options.append(value)
-        per_entry.append(options)
-    found = 0
-    for combo in itertools.product(*per_entry):
-        total = identity
-        for v in combo:
-            total = total + v if additive else total * v
-        found += total == identity
-    return found
+        partial = [(0, identity)]
+        for ev, m in zip(spec.eigenvalues, spec.multiplicities()):
+            powers = [ev.scale(c) if additive else ev**c for c in range(m + 1)]
+            partial = [
+                (used + c, combine(value, powers[c])) for used, value in partial for c in range(m + 1)
+            ]
+        by_copies = [[] for _ in range(n + 1)]
+        for used, value in partial:
+            by_copies[used].append(value)
+        per_entry.append(by_copies)
+    counts = []
+    for k in range(1, n):
+        totals = [identity]
+        for by_copies in per_entry[:-1]:
+            totals = [combine(t, v) for t in totals for v in by_copies[k]]
+        last = Counter(per_entry[-1][k])
+        counts.append(sum(last[-t if additive else t.inverse()] for t in totals))
+    return counts
 
 
 def half_split_pairs(keys, per_entry, k, budget):

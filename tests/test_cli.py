@@ -145,10 +145,10 @@ class TestGeneric:
 
     @pytest.mark.parametrize("n, generic", [(12, True), (14, True), (16, False)])
     def test_sampled_hypergeometric_rows(self, capsys, tmp_path, n, generic):
-        # the relation search looks complements up in the largest class and
-        # stops at k = n/2; at n = 16 and k = 8 the DP stages of the two
-        # 16-slot classes hold 179,714 states, and the fold of one of them
-        # with the third class passes the default budget
+        # the relation search looks complements up in the largest of the
+        # three classes and stops at k = n/2; at n = 16 and k = 8 the DP
+        # stages of the two 16-slot classes hold 179,714 states, and the fold
+        # of one of them with the third class passes the default budget
         from dspkit.classify import RigidFamily, rigid_family_tuple
         from dspkit.genericity import sample_generic
         from dspkit.scalars import format_scalar
