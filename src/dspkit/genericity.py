@@ -131,18 +131,14 @@ def specs_tuple(specs: Sequence[ClassSpec]) -> JnfTuple:
 
 
 def check_evs(specs: Sequence[ClassSpec]) -> bool:
-    """Whether the full eigenvalue product is 1 (resp. the full sum is 0)."""
-    mode = validate_specs(specs)
-    pairs = [(ev, m) for s in specs for ev, m in zip(s.eigenvalues, s.multiplicities())]
-    if mode == "additive":
-        total = AdditiveScalar.zero()
-        for ev, m in pairs:
-            total = total + ev.scale(m)
-        return total.is_zero()
-    product = MultiplicativeScalar.one()
-    for ev, m in pairs:
-        product = product * ev**m
-    return product.is_one()
+    """Whether the full eigenvalue product is 1 (resp. the full sum is 0).
+
+    Evaluated on the exact integer keys of the relation DPs: the full
+    selection's key is 0 exactly when its value is.  Raises
+    InvalidInputError for specs that `validate_specs` rejects.
+    """
+    validate_specs(specs)
+    return _constraint_holds(_integer_keys(specs))
 
 
 def _coprime_base(numbers) -> list[int]:
@@ -199,10 +195,11 @@ def _integer_keys(specs: Sequence[ClassSpec]) -> tuple[int, list]:
     if specs[0].mode == "additive":
         wrap = 1
         scale = math.lcm(*(x.denominator for ev, _ in pairs for x in (ev.re, ev.im)))
-        bound = sum(m * abs((ev.im * scale).numerator) for ev, m in pairs)
+        bound = sum(m * abs(ev.im.numerator) * (scale // ev.im.denominator) for ev, m in pairs)
 
         def coordinates(ev):
-            return (ev.re * scale).numerator * (2 * bound + 1) + (ev.im * scale).numerator, 0
+            re = ev.re.numerator * (scale // ev.re.denominator)
+            return re * (2 * bound + 1) + ev.im.numerator * (scale // ev.im.denominator), 0
 
     else:
         wrap = math.lcm(*(ev.arg.denominator for ev, _ in pairs))
@@ -223,7 +220,7 @@ def _integer_keys(specs: Sequence[ClassSpec]) -> tuple[int, list]:
             for e, bd in zip(exponents(ev), bounds):
                 free += e * place
                 place *= 2 * bd + 1
-            return free, (ev.arg * wrap).numerator
+            return free, ev.arg.numerator * (wrap // ev.arg.denominator)
 
     steps = []
     for spec in specs:
@@ -238,7 +235,7 @@ def _integer_keys(specs: Sequence[ClassSpec]) -> tuple[int, list]:
 
 
 def _constraint_holds(keys: tuple[int, list]) -> bool:
-    """`check_evs` on the integer keys: whether the full selection's key is 0."""
+    """The global constraint on the integer keys: whether the full selection's key is 0."""
     wrap, steps = keys
     total = 0
     for entry_steps in steps:
@@ -497,8 +494,8 @@ def check_generalized_beta(specs: Sequence[ClassSpec]) -> bool:
     return min_rank_sum >= 2 * n
 
 
-_VALUE_CAP = Fraction(12)
-_MIN_GAP = Fraction(1, 8)
+_VALUE_CAP = 12
+_INV_GAP = 8  # slots closer than 1/8 in both coordinates are too close
 
 
 def _well_scaled(values, mode: str) -> bool:
@@ -506,21 +503,26 @@ def _well_scaled(values, mode: str) -> bool:
 
     Arguments of equal modulus stay 1/16 apart, or 1/(2S) among S > 8 slots:
     the middle halves of S equal cells of [0, 1) are more than 1/(2S) apart,
-    so the sampler's free slots always pass.
+    so the sampler's free slots always pass.  Pairs are compared on integer
+    cross products: |x/q - y/r| < 1/c exactly when c |x r - y q| < q r.
     """
     if mode == "additive":
-        if any(abs(v.re) > _VALUE_CAP or abs(v.im) > _VALUE_CAP for v in values):
+        points = [(v.re.numerator, v.re.denominator, v.im.numerator, v.im.denominator)
+                  for v in values]
+        if any(abs(x) > _VALUE_CAP * q or abs(y) > _VALUE_CAP * r for x, q, y, r in points):
             return False
-        for i, a in enumerate(values):
-            for b in values[i + 1 :]:
-                if abs(a.re - b.re) < _MIN_GAP and abs(a.im - b.im) < _MIN_GAP:
+        for i, (x, q, y, r) in enumerate(points):
+            for x2, q2, y2, r2 in points[i + 1 :]:
+                if (_INV_GAP * abs(x * q2 - x2 * q) < q * q2
+                        and _INV_GAP * abs(y * r2 - y2 * r) < r * r2):
                     return False
     else:
-        min_arc = min(_MIN_GAP / 2, Fraction(1, 2 * len(values)))
-        for i, a in enumerate(values):
-            for b in values[i + 1 :]:
-                gap = abs(a.arg - b.arg)
-                if min(gap, 1 - gap) < min_arc and a.modulus == b.modulus:
+        arcs = max(2 * _INV_GAP, 2 * len(values))
+        points = [(v.modulus, v.arg.numerator, v.arg.denominator) for v in values]
+        for i, (m, x, q) in enumerate(points):
+            for m2, x2, q2 in points[i + 1 :]:
+                gap, whole = abs(x * q2 - x2 * q), q * q2
+                if arcs * min(gap, whole - gap) < whole and m == m2:
                     return False
     return True
 
@@ -579,20 +581,22 @@ def sample_generic(
     others = [slot for slot in slots if slot != solved]
     for (e, j), p in zip(others, _primes_above(tup.n**2, len(others))):
         cells = 4 * len(mults[e])
-        lo = low + Fraction(width * (4 * j + 1), cells)
-        hi = low + Fraction(width * (4 * j + 3), cells)
-        free.append((e, j, p, math.ceil(lo * p), math.ceil(hi * p)))
+        # the middle half of cell j runs from lo / cells to hi / cells; its
+        # numerators over p start at ceil(lo p / cells) and stop before ceil(hi p / cells)
+        lo, hi = (low * cells + width * t for t in (4 * j + 1, 4 * j + 3))
+        free.append((e, j, p, -(-lo * p // cells), -(-hi * p // cells)))
+    common = math.prod(p for _, _, p, _, _ in free)
     rng = random.Random(seed)
     for _ in range(max_retries):
         xs: list[list] = [[None] * len(row) for row in mults]
-        total = Fraction(0)
+        total = 0  # sum of m_i x_i, times common
         for e, j, p, first, stop in free:
             a = rng.randrange(first, stop)
             while a % p == 0:
                 a = rng.randrange(first, stop)
             xs[e][j] = Fraction(a, p)
-            total += mults[e][j] * xs[e][j]
-        xs[solved[0]][solved[1]] = (rng.choice(shifts) - total) / m_solved
+            total += mults[e][j] * a * (common // p)
+        xs[solved[0]][solved[1]] = Fraction(rng.choice(shifts) * common - total, common * m_solved)
         if additive:
             values = [[AdditiveScalar(x) for x in row] for row in xs]
         else:

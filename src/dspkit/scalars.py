@@ -29,16 +29,33 @@ __all__ = [
 ]
 
 
+def _rational(x, what: str) -> Fraction:
+    """Fraction(x); InvalidInputError where that raises (NaN, infinities,
+    None, non-numeric strings).  Callers keep a value whose type is already
+    Fraction without calling this: the abc checks of Fraction(x) cost about
+    twenty times a `type(x) is Fraction` test."""
+    try:
+        return Fraction(x)
+    except (ValueError, TypeError, OverflowError, ZeroDivisionError):
+        raise InvalidInputError(f"{what} must be a rational number, got {x!r}") from None
+
+
 @dataclass(frozen=True)
 class AdditiveScalar:
-    """Gaussian rational re + im*i with exact components."""
+    """Gaussian rational re + im*i with exact components.
+
+    Components convert as Fraction(x) does (ints, Fractions, floats, numeric
+    strings); a value whose type is Fraction is kept as it is.  Raises
+    InvalidInputError for a component Fraction() rejects, such as NaN, an
+    infinity, None or a non-numeric string.
+    """
 
     re: Fraction
     im: Fraction
 
     def __init__(self, re, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        object.__setattr__(self, "re", re if type(re) is Fraction else _rational(re, "re"))
+        object.__setattr__(self, "im", im if type(im) is Fraction else _rational(im, "im"))
 
     def __add__(self, other: "AdditiveScalar") -> "AdditiveScalar":
         return AdditiveScalar(self.re + other.re, self.im + other.im)
@@ -50,7 +67,8 @@ class AdditiveScalar:
         return AdditiveScalar(-self.re, -self.im)
 
     def scale(self, factor) -> "AdditiveScalar":
-        f = Fraction(factor)
+        """The value times a rational `factor`; InvalidInputError as for a component."""
+        f = factor if type(factor) in (int, Fraction) else _rational(factor, "factor")
         return AdditiveScalar(self.re * f, self.im * f)
 
     def is_zero(self) -> bool:
@@ -69,17 +87,27 @@ class AdditiveScalar:
 
 @dataclass(frozen=True)
 class MultiplicativeScalar:
-    """modulus * exp(2*pi*i*arg) with positive rational modulus, arg in [0,1)."""
+    """modulus * exp(2*pi*i*arg) with positive rational modulus, arg in [0,1).
+
+    Both parts convert as Fraction(x) does, and a value whose type is
+    Fraction is kept as it is; arg is reduced mod 1 when it lies outside
+    [0, 1).  Raises InvalidInputError for a modulus <= 0 and for a part
+    Fraction() rejects, such as NaN, an infinity, None or a non-numeric
+    string.
+    """
 
     modulus: Fraction
     arg: Fraction
 
     def __init__(self, modulus, arg):
-        m = Fraction(modulus)
-        if m <= 0:
+        m = modulus if type(modulus) is Fraction else _rational(modulus, "modulus")
+        if m.numerator <= 0:
             raise InvalidInputError(f"modulus must be positive, got {m}")
+        a = arg if type(arg) is Fraction else _rational(arg, "arg")
+        if not 0 <= a.numerator < a.denominator:
+            a %= 1
         object.__setattr__(self, "modulus", m)
-        object.__setattr__(self, "arg", Fraction(arg) % 1)
+        object.__setattr__(self, "arg", a)
 
     def __mul__(self, other: "MultiplicativeScalar") -> "MultiplicativeScalar":
         return MultiplicativeScalar(self.modulus * other.modulus, self.arg + other.arg)
@@ -88,6 +116,10 @@ class MultiplicativeScalar:
         return MultiplicativeScalar(1 / self.modulus, -self.arg)
 
     def __pow__(self, k: int) -> "MultiplicativeScalar":
+        """The k-th power for an int k (bools excluded); InvalidInputError for
+        any other exponent, since a rational power has several values."""
+        if isinstance(k, bool) or not isinstance(k, int):
+            raise InvalidInputError(f"exponent must be an int, got {k!r}")
         if k == 0:
             return MultiplicativeScalar.one()
         if k < 0:

@@ -5,7 +5,10 @@ the closed forms they are checking.  The Gauss-Newton references build the
 Jacobian from np.kron and solve the dense normal equations, the forms the
 kernel avoids.  The half-split relation DP is the relation search's earlier
 fold, kept to compare the search's size-based split against on the same
-integer keys.
+integer keys.  The global-constraint test sums (multiplies) the eigenvalues
+in plain Fraction arithmetic, the form `check_evs` replaced by the keys, and
+the sampler's spacing test subtracts Fractions where `_well_scaled`
+compares integer cross products.
 """
 
 from __future__ import annotations
@@ -104,6 +107,44 @@ def min_shifted_rank_exact(jnf: Jnf) -> int:
         ]
         best = min(best, frac_rank(shifted))
     return best
+
+
+def fraction_check_evs(specs) -> bool:
+    """Whether the full eigenvalue sum is 0 (product is 1), in Fractions.
+
+    Each eigenvalue counts with its multiplicity: re and im parts are summed
+    additively; multiplicatively the moduli are multiplied and the arguments
+    summed mod 1.  Uses only the components of each scalar, never its
+    operators or the integer keys.
+    """
+    pairs = [(ev, m) for s in specs for ev, m in zip(s.eigenvalues, s.multiplicities())]
+    if specs[0].mode == "additive":
+        re = sum((Fraction(ev.re) * m for ev, m in pairs), Fraction(0))
+        im = sum((Fraction(ev.im) * m for ev, m in pairs), Fraction(0))
+        return re == 0 and im == 0
+    modulus, arg = Fraction(1), Fraction(0)
+    for ev, m in pairs:
+        modulus *= Fraction(ev.modulus) ** m
+        arg += Fraction(ev.arg) * m
+    return modulus == 1 and arg.denominator == 1
+
+
+def fraction_well_scaled(values, mode: str) -> bool:
+    """`_well_scaled` on Fraction differences: |re|, |im| <= 12; additive
+    values 1/8 apart in re or im; arguments of equal modulus at a circular
+    distance of at least min(1/16, 1/(2S)) among S values."""
+    if mode == "additive":
+        if any(abs(v.re) > 12 or abs(v.im) > 12 for v in values):
+            return False
+        return all(abs(a.re - b.re) >= Fraction(1, 8) or abs(a.im - b.im) >= Fraction(1, 8)
+                   for i, a in enumerate(values) for b in values[i + 1 :])
+    min_arc = min(Fraction(1, 16), Fraction(1, 2 * len(values)))
+    for i, a in enumerate(values):
+        for b in values[i + 1 :]:
+            gap = abs(a.arg - b.arg)
+            if min(gap, 1 - gap) < min_arc and a.modulus == b.modulus:
+                return False
+    return True
 
 
 def naive_relation_counts(specs) -> list[int]:

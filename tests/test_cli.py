@@ -119,6 +119,74 @@ class TestGeneric:
         assert report["relation"]["cardinality"] == 2
         assert report["relation"]["selections"] == [[2], [2], [2], [2]]
 
+    @pytest.mark.parametrize(
+        "name, pinned",
+        [
+            ("example41_generic", {
+                "n": 4, "p": 3, "evs_ok": True,
+                "gcd": {"d": 4, "xi": "{mod: 1, arg: 1/4}", "xi_primitive": True},
+                "relation": None, "generic": True, "generalized_beta": True}),
+            ("example41_nongeneric", {
+                "n": 4, "p": 3, "evs_ok": True,
+                "gcd": {"d": 4, "xi": "{mod: 1, arg: 1/2}", "xi_primitive": False},
+                "relation": {"cardinality": 2, "selections": [[2], [2], [2], [2]]},
+                "generic": False, "generalized_beta": True}),
+            ("special_diagonal_n2", {
+                "n": 2, "p": 2, "evs_ok": True,
+                "gcd": {"d": 2, "xi": "{mod: 1, arg: 0}", "xi_primitive": False},
+                "relation": {"cardinality": 1, "selections": [[1], [1], [1]]},
+                "generic": False, "generalized_beta": False}),
+        ],
+    )
+    def test_multiplicative_fixtures_pinned(self, capsys, name, pinned):
+        path = str(FIXTURES / f"{name}.json")
+        code, (report,) = run(capsys, "generic", path)
+        assert code == 0
+        assert report == {"schema_version": "1", "command": "generic",
+                          "input": json.loads((FIXTURES / f"{name}.json").read_text()),
+                          **pinned, "input_path": path}
+
+    def test_multiplicative_fixture_without_eigenvalues_exit2(self, capsys):
+        assert main(["generic", str(FIXTURES / "almost_d_k2_mult.json")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: command 'generic' requires an eigenvalue for every slot of every class\n"
+        )
+
+    @pytest.mark.parametrize(
+        "last, pinned",
+        [
+            # 2 * 1/2 * 1 = 1 with 1/3 + 1/4 + 5/12 = 1: a relation at k = 1
+            ("{mod: 1, arg: 2/3}", {
+                "evs_ok": True, "relation": {"cardinality": 1, "selections": [[1, 0], [0, 1], [0, 1]]},
+                "generic": False, "generalized_beta": False}),
+            # the moduli multiply to 6
+            ("{mod: 6, arg: 2/3}", {
+                "evs_ok": False, "relation": None, "generic": None, "generalized_beta": None,
+                "note": "global product/sum constraint fails; genericity undefined"}),
+        ],
+    )
+    def test_moduli_other_than_one_pinned(self, capsys, tmp_path, last, pinned):
+        from dspkit.genericity import check_evs
+
+        from oracles import fraction_check_evs
+
+        problem = {"mode": "multiplicative", "classes": [
+            {"blocks": [[1], [1]], "eigenvalues": ["{mod: 2, arg: 1/3}", "{mod: 1/6, arg: 0}"]},
+            {"blocks": [[1], [1]], "eigenvalues": ["{mod: 6, arg: 1/3}", "{mod: 1/2, arg: 1/4}"]},
+            {"blocks": [[1], [1]], "eigenvalues": [last, "{mod: 1, arg: 5/12}"]},
+        ]}
+        path = tmp_path / "moduli.json"
+        path.write_text(json.dumps(problem))
+        code, (report,) = run(capsys, "generic", str(path))
+        assert code == 0
+        assert report == {"schema_version": "1", "command": "generic", "input": problem,
+                          "n": 2, "p": 2, "gcd": {"d": 1, "xi": None, "xi_primitive": None},
+                          **pinned, "input_path": str(path)}
+        specs = parse_problem(problem).specs
+        assert report["evs_ok"] == fraction_check_evs(specs) == check_evs(specs)
+
     def test_missing_eigenvalues_exit2(self, capsys):
         code = main(["generic", str(FIXTURES / "hypergeometric_n2.json")])
         captured = capsys.readouterr()

@@ -16,9 +16,8 @@ from dspkit.errors import (
 )
 from dspkit.genericity import (
     ClassSpec,
-    _constraint_holds,
-    _integer_keys,
     _relation_counts,
+    _well_scaled,
     check_evs,
     check_generalized_beta,
     exp_map,
@@ -32,7 +31,12 @@ from dspkit.decide import check_conditions
 from dspkit.jnf import Jnf, JnfTuple, Partition
 from dspkit.scalars import AdditiveScalar, MultiplicativeScalar
 
-from oracles import half_split_relations, naive_relation_counts
+from oracles import (
+    fraction_check_evs,
+    fraction_well_scaled,
+    half_split_relations,
+    naive_relation_counts,
+)
 
 ONE = MultiplicativeScalar.one()
 I_UNIT = MultiplicativeScalar(1, Fraction(1, 4))
@@ -208,13 +212,13 @@ def random_small_specs(rng, mode, forced):
 
 def check_against_oracle(specs, forced=False, brute_force=True):
     """Assert the count at every k and the smallest witness (or None) against
-    the half-split reference DP and the key-sum constraint test against
-    `check_evs`; with `brute_force`, also the counts against exhaustive
+    the half-split reference DP and `check_evs` against the Fraction-sum
+    oracle; with `brute_force`, also the counts against exhaustive
     enumeration and `relation_selection_count` at every k.  Return the
     witness cardinality or None."""
     n = specs[0].n
     mode = specs[0].mode
-    assert _constraint_holds(_integer_keys(specs)) == check_evs(specs)
+    assert check_evs(specs) == fraction_check_evs(specs)
     counts, reference = half_split_relations(specs)
     assert list(_relation_counts(specs)) == counts
     if brute_force:
@@ -278,6 +282,79 @@ def encoding_specs(rng, case):
         ClassSpec([(Partition([1] * m), v) for m, v in zip(row, vals)], mode)
         for row, vals in zip(mults, values)
     ]
+
+
+def closed_specs(rng, case):
+    """`encoding_specs` plus a diagonal class of `case` values whose last
+    eigenvalue closes the global constraint, solved in plain Fractions."""
+    specs = encoding_specs(rng, case)
+    n, mode = specs[0].n, specs[0].mode
+    given = [(ev, m) for s in specs for ev, m in zip(s.eigenvalues, s.multiplicities())]
+    while True:
+        values = [encoding_value(rng, case) for _ in range(n - 1)]
+        pairs = given + [(v, 1) for v in values]
+        if mode == "additive":
+            values.append(AdditiveScalar(-sum(ev.re * m for ev, m in pairs),
+                                         -sum(ev.im * m for ev, m in pairs)))
+        else:
+            values.append(MultiplicativeScalar(1 / math.prod(ev.modulus**m for ev, m in pairs),
+                                               -sum(ev.arg * m for ev, m in pairs)))
+        if len(set(values)) == n:
+            return specs + [ClassSpec([(Partition([1]), v) for v in values], mode)]
+
+
+def perturbed(specs, shift):
+    """`specs` with the last eigenvalue of the last class replaced by
+    `shift(value)`, or None when that repeats an eigenvalue of the class."""
+    last = specs[-1]
+    values = list(last.eigenvalues)
+    values[-1] = shift(values[-1])
+    if len(set(values)) < len(values):
+        return None
+    return specs[:-1] + [ClassSpec(list(zip(last.jnf.slots, values)), last.mode)]
+
+
+SHIFTS = {
+    "additive": [
+        (lambda v: AdditiveScalar(v.re + Fraction(1, P1), v.im), False),
+        (lambda v: AdditiveScalar(v.re, v.im - 1), False),
+        (lambda v: AdditiveScalar(v.re + Fraction(1, 3), v.im - Fraction(1, 3)), False),
+    ],
+    "multiplicative": [
+        (lambda v: MultiplicativeScalar(v.modulus * 2, v.arg), False),
+        (lambda v: MultiplicativeScalar(v.modulus / 6, v.arg), False),
+        (lambda v: MultiplicativeScalar(v.modulus, v.arg + Fraction(1, P1)), False),
+        (lambda v: MultiplicativeScalar(v.modulus, v.arg - 1), True),  # the same value
+    ],
+}
+
+
+class TestConstraintOracle:
+    """`check_evs` on the integer keys against the Fraction-sum oracle."""
+
+    @pytest.mark.parametrize(
+        "case",
+        ["nonreal", "shared_moduli", "large_primes_additive", "large_primes_multiplicative",
+         "negative_keys"],
+    )
+    def test_closed_and_perturbed(self, case):
+        for seed in range(60):
+            rng = random.Random(seed)
+            given = encoding_specs(random.Random(seed), case)
+            assert check_evs(given) == fraction_check_evs(given)
+            specs = closed_specs(rng, case)
+            assert check_evs(specs) and fraction_check_evs(specs)
+            for shift, holds in SHIFTS[specs[0].mode]:
+                other = perturbed(specs, shift)
+                if other is not None:
+                    assert check_evs(other) == fraction_check_evs(other) == holds, (case, seed)
+
+    def test_rejects_what_validate_specs_rejects(self):
+        a = ClassSpec([(Partition([1]), AdditiveScalar(0))], "additive")
+        b = ClassSpec([(Partition([1, 1]), AdditiveScalar(0))], "additive")
+        for specs in ([a], [a, b]):
+            with pytest.raises(InvalidInputError):
+                check_evs(specs)
 
 
 class TestRelationOracle:
@@ -587,6 +664,42 @@ class TestGeneralizedBeta:
 
 
 class TestSampler:
+    def test_well_scaled_matches_fraction_oracle(self):
+        A, M = AdditiveScalar, MultiplicativeScalar
+        edges = [  # (values, mode, expected): gaps and caps exactly at and near their bounds
+            ([A(0), A(Fraction(1, 8))], "additive", True),
+            ([A(0), A(Fraction(1, 8) - Fraction(1, 10**9))], "additive", False),
+            ([A(0, 0), A(Fraction(1, 16), Fraction(1, 8))], "additive", True),
+            ([A(12, -12)], "additive", True),
+            ([A(Fraction(1201, 100))], "additive", False),
+            ([M(1, 0), M(1, Fraction(1, 16))], "multiplicative", True),
+            ([M(1, 0), M(1, Fraction(15, 16))], "multiplicative", True),
+            ([M(1, 0), M(1, Fraction(1, 17))], "multiplicative", False),
+            ([M(2, 0), M(Fraction(1, 2), Fraction(1, 17))], "multiplicative", True),
+            ([M(1, Fraction(j, 20)) for j in range(10)], "multiplicative", True),
+            ([M(1, Fraction(j, 21)) for j in range(10)], "multiplicative", False),
+        ]
+        for values, mode, expected in edges:
+            assert _well_scaled(values, mode) is fraction_well_scaled(values, mode) is expected
+        rng = random.Random(9)
+        seen = set()
+        for _ in range(3000):
+            size = rng.randint(1, 10)
+            if rng.random() < 0.5:
+                mode = "additive"
+                values = [A(Fraction(rng.randint(-100, 100), rng.randint(1, 16)),
+                            Fraction(rng.choice([0, rng.randint(-100, 100)]), rng.randint(1, 16)))
+                          for _ in range(size)]
+            else:
+                mode = "multiplicative"
+                values = [M(rng.choice([1, 2, Fraction(1, 3)]),
+                            Fraction(rng.randint(0, 64), rng.choice([7, 16, 17, 20, 32, 64])))
+                          for _ in range(size)]
+            got = _well_scaled(values, mode)
+            assert got == fraction_well_scaled(values, mode), (mode, values)
+            seen.add((mode, got))
+        assert len(seen) == 4
+
     def test_deterministic(self):
         tup = JnfTuple([Jnf([[1], [1]])] * 3)
         assert sample_generic(tup, "additive", seed=3) == sample_generic(
