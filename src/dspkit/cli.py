@@ -31,6 +31,7 @@ from .jnf import invariant_summary, kappa_of
 from .report import (
     SCHEMA_VERSION,
     base_report,
+    class_json,
     decision_json,
     matrix_from_json,
     matrix_json,
@@ -141,13 +142,7 @@ def _cmd_classify(problem, args) -> tuple[dict, int]:
                 entry["witness"] = {
                     "l": witness.l,
                     "n1": witness.n1,
-                    "quotient": [
-                        {
-                            "blocks": [list(s.parts) for s in q.jnf.slots],
-                            "eigenvalues": [format_scalar(e) for e in q.eigenvalues],
-                        }
-                        for q in witness.quotient
-                    ],
+                    "quotient": [class_json(q.jnf, q.eigenvalues) for q in witness.quotient],
                 }
             report["special_diagonal"] = entry
         else:

@@ -27,7 +27,6 @@ __all__ = [
     "r_of",
     "kappa_of",
     "invariant_summary",
-    "dual_partition",
     "corresponding_diagonal",
     "power_rank",
     "is_subordinate",
@@ -105,10 +104,6 @@ class Partition:
 
 
 _parts_of = attrgetter("parts")
-
-
-def dual_partition(partition: Partition) -> Partition:
-    return partition.dual()
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,6 @@
 
 from . import gn_numpy
 from .numeric import (
-    NumericClass,
     burnside_dim,
     centralizer_nullity,
     class_membership,
@@ -19,7 +18,6 @@ from .search import (
 
 __all__ = [
     "backend_name",
-    "NumericClass",
     "kernel",
     "jordan_matrix",
     "burnside_dim",

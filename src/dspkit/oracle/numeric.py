@@ -1,15 +1,13 @@
-"""Numeric class matrices and the certification routines.
+"""Jordan matrices of the classes and the certification routines.
 
 The certificates are independent of the search path: irreducibility via the
 dimension of the generated matrix algebra (full n^2 iff no common invariant
 subspace), centralizer triviality via the nullity of the stacked commutation
 system, and class membership via eigenvalue matching plus the closed-form
-power ranks of the prescribed JNF.
+power ranks of the prescribed JNF, all at the fixed tolerances below.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,17 +15,16 @@ from ..genericity import ClassSpec
 from ..jnf import power_rank
 
 __all__ = [
-    "NumericClass",
     "jordan_matrix",
     "burnside_dim",
     "centralizer_nullity",
     "class_membership",
-    "DEFAULT_RANK_TOL",
-    "DEFAULT_EIG_TOL",
+    "RANK_TOL",
+    "EIG_TOL",
 ]
 
-DEFAULT_RANK_TOL = 1e-6
-DEFAULT_EIG_TOL = 1e-6
+RANK_TOL = 1e-6  # singular values below RANK_TOL times the largest count as zero
+EIG_TOL = 1e-6  # floor of the distance at which an eigenvalue matches its target
 
 
 def jordan_matrix(spec: ClassSpec) -> np.ndarray:
@@ -46,45 +43,14 @@ def jordan_matrix(spec: ClassSpec) -> np.ndarray:
     return G
 
 
-@dataclass(frozen=True, eq=False)
-class NumericClass:
-    """A class spec evaluated to floating point, with its tolerance profile."""
-
-    spec: ClassSpec
-    jordan_matrix: np.ndarray
-    rank_tol: float
-    eig_tol: float
-
-    @staticmethod
-    def from_spec(
-        spec: ClassSpec,
-        rank_tol: float = DEFAULT_RANK_TOL,
-        eig_tol: float = DEFAULT_EIG_TOL,
-    ) -> "NumericClass":
-        G = jordan_matrix(spec)
-        # superdiagonal pattern must reproduce the block sizes exactly
-        ones = [i for i in range(spec.n - 1) if G[i, i + 1] == 1.0]
-        expected = []
-        pos = 0
-        for slot in spec.jnf.slots:
-            for size in slot.parts:
-                expected.extend(range(pos, pos + size - 1))
-                pos += size
-        assert ones == expected, "Jordan matrix block structure must match the JNF"
-        return NumericClass(spec, G, rank_tol, eig_tol)
-
-    def membership(self, matrix: np.ndarray) -> bool:
-        return class_membership(matrix, self.spec, self.eig_tol, self.rank_tol)
-
-
-def _rank(mat: np.ndarray, rank_tol: float) -> int:
+def _rank(mat: np.ndarray) -> int:
     s = np.linalg.svd(mat, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.sum(s > rank_tol * s[0]))
+    return int(np.sum(s > RANK_TOL * s[0]))
 
 
-def burnside_dim(matrices, rank_tol: float = DEFAULT_RANK_TOL) -> int:
+def burnside_dim(matrices) -> int:
     """Dimension of the algebra generated by the identity and the matrices.
 
     Grows an orthonormal basis of the span (as vectors of length n^2) by
@@ -98,7 +64,7 @@ def burnside_dim(matrices, rank_tol: float = DEFAULT_RANK_TOL) -> int:
 
     def orthobasis(rows):
         u, s, vh = np.linalg.svd(rows, full_matrices=False)
-        keep = s > rank_tol * s[0] if s.size and s[0] > 0 else []
+        keep = s > RANK_TOL * s[0] if s.size and s[0] > 0 else []
         return vh[: int(np.sum(keep))]
 
     basis = orthobasis(stack)
@@ -114,23 +80,18 @@ def burnside_dim(matrices, rank_tol: float = DEFAULT_RANK_TOL) -> int:
         basis = grown
 
 
-def centralizer_nullity(matrices, rank_tol: float = DEFAULT_RANK_TOL) -> int:
+def centralizer_nullity(matrices) -> int:
     """Nullity of the stacked system [X, A_j] = 0 over all j (>= 1 always)."""
     mats = [np.asarray(m, dtype=np.complex128) for m in matrices]
     n = mats[0].shape[0]
     eye = np.eye(n, dtype=np.complex128)
     blocks = [np.kron(eye, a.T) - np.kron(a, eye) for a in mats]
     system = np.vstack(blocks)
-    return n * n - _rank(system, rank_tol)
+    return n * n - _rank(system)
 
 
-def class_membership(
-    matrix: np.ndarray,
-    spec: ClassSpec,
-    eig_tol: float = DEFAULT_EIG_TOL,
-    rank_tol: float = DEFAULT_RANK_TOL,
-) -> bool:
-    """Whether the matrix lies in the prescribed conjugacy class (within tol).
+def class_membership(matrix: np.ndarray, spec: ClassSpec) -> bool:
+    """Whether the matrix lies in the prescribed conjugacy class (within tolerance).
 
     Eigenvalues are matched to the prescribed ones by nearest distance with
     exact multiplicity counts, then rank((A - lambda)^j) is compared against
@@ -149,7 +110,7 @@ def class_membership(
     # error of eps*scale*cond is O((eps*scale*cond)^(1/b)); allow for the
     # search's conjugator condition cap
     match_tols = [
-        max(eig_tol, 10.0 * (eps * scale * 1e4) ** (1.0 / slot.parts[0]))
+        max(EIG_TOL, 10.0 * (eps * scale * 1e4) ** (1.0 / slot.parts[0]))
         for slot in spec.jnf.slots
     ]
     eigs = np.linalg.eigvals(A)
@@ -181,7 +142,7 @@ def class_membership(
             powered = powered @ shifted
             s = np.linalg.svd(powered, compute_uv=False)
             threshold = max(
-                rank_tol * float(s[0]),
+                RANK_TOL * float(s[0]),
                 1e3 * eps * sscale**j,
                 1e4 * eps * scale * sscale ** (j - 1),
             )

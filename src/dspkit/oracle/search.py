@@ -9,7 +9,9 @@ to find a witness is reported as None, never as a nonexistence claim.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import numbers
+import operator
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -17,42 +19,52 @@ import numpy as np
 from ..errors import IllConditionedError, InvalidInputError
 from ..genericity import ClassSpec, validate_specs
 from . import gn_numpy
-from .numeric import NumericClass, burnside_dim, centralizer_nullity
+from .numeric import burnside_dim, centralizer_nullity, class_membership, jordan_matrix
 
 __all__ = ["SearchBudget", "RealizationResult", "realize", "backend_name", "MAX_SIZE", "MAX_ENTRIES"]
 
 MAX_SIZE = 8
 MAX_ENTRIES = 6
+COND_CAP = 1e4  # on the condition numbers of random starts and of restart results
 
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Limits and tolerances of one search.  `jobs` starts no threads: it is
-    kept for existing callers and the report's echo, and restarts always run
-    one at a time in index order.
+    """Limits of one search.  `jobs` starts no threads: it is kept for
+    existing callers and the report's echo, and restarts always run one at a
+    time in index order.
 
-    Raises InvalidInputError when `restarts`, `iters` or `jobs` is below 1,
-    `residual_tol` is not positive (NaN included), so that no search could
-    run, or `seed` lies outside [0, 2**32), which cannot seed the restarts.
+    Raises InvalidInputError unless `restarts`, `iters`, `jobs` and `seed`
+    pass `operator.index` (numpy ints do, bools do not) and `residual_tol` is
+    a real number other than a bool; when `restarts`, `iters` or `jobs` is
+    below 1 or `residual_tol` is not positive (NaN included), so that no
+    search could run; or when `seed` lies outside [0, 2**32), which cannot
+    seed the restarts.
     """
 
     restarts: int = 50
     iters: int = 200
     seed: int = 0
     residual_tol: float = 1e-8
-    rank_tol: float = 1e-6
-    eig_tol: float = 1e-6
-    cond_cap: float = 1e4
     jobs: int = 1
     warm_start: Optional[tuple] = None
 
     def __post_init__(self):
-        for name in ("restarts", "iters", "jobs"):
+        for name in ("restarts", "iters", "jobs", "seed"):
             value = getattr(self, name)
-            if value < 1:
+            try:
+                if isinstance(value, bool):
+                    raise TypeError
+                operator.index(value)
+            except TypeError:
+                raise InvalidInputError(f"{name} must be an integer, got {value!r}") from None
+            if name != "seed" and value < 1:
                 raise InvalidInputError(f"{name} must be at least 1, got {value}")
-        if not self.residual_tol > 0:
-            raise InvalidInputError(f"residual_tol must be positive, got {self.residual_tol}")
+        tol = self.residual_tol
+        if isinstance(tol, bool) or not isinstance(tol, numbers.Real):
+            raise InvalidInputError(f"residual_tol must be a real number, got {tol!r}")
+        if not tol > 0:
+            raise InvalidInputError(f"residual_tol must be positive, got {tol}")
         if not 0 <= self.seed < 2**32:
             raise InvalidInputError(f"seed must be in [0, 2**32), got {self.seed}")
 
@@ -68,7 +80,6 @@ class RealizationResult:
     certified: bool
     restart_index: int
     backend: str
-    budget: SearchBudget = field(repr=False)
 
     @property
     def irreducible(self) -> bool:
@@ -80,7 +91,7 @@ def backend_name() -> str:
     return "numpy"
 
 
-def _random_start(seed: int, restart: int, m: int, n: int, cond_cap: float):
+def _random_start(seed: int, restart: int, m: int, n: int):
     """Unit-disc random conjugators, deterministic in (seed, restart)."""
     rng = np.random.default_rng([np.uint32(seed), np.uint32(restart)])
     Q = np.empty((m, n, n), dtype=np.complex128)
@@ -89,7 +100,7 @@ def _random_start(seed: int, restart: int, m: int, n: int, cond_cap: float):
             radius = np.sqrt(rng.uniform(0, 1, size=(n, n)))
             angle = rng.uniform(0, 2 * np.pi, size=(n, n))
             cand = radius * np.exp(1j * angle)
-            if np.linalg.cond(cand) <= cond_cap:
+            if np.linalg.cond(cand) <= COND_CAP:
                 Q[j] = cand
                 break
         else:
@@ -124,7 +135,7 @@ def _run_restart(G, multiplicative: bool, budget: SearchBudget, index: int):
         if not np.isfinite(Q0).all():
             raise InvalidInputError("warm start must have finite entries")
     else:
-        Q0 = _random_start(budget.seed, index, m, n, budget.cond_cap)
+        Q0 = _random_start(budget.seed, index, m, n)
     stop_tol = budget.residual_tol * 1e-4
     Q, residual, _ = gn_numpy.run(G, Q0, multiplicative, budget.iters, stop_tol)
     if not np.isfinite(residual):
@@ -154,25 +165,24 @@ def realize(specs: Sequence[ClassSpec], budget: SearchBudget = SearchBudget()):
         raise InvalidInputError(f"numerical search capped at size {MAX_SIZE}")
     if m > MAX_ENTRIES:
         raise InvalidInputError(f"numerical search capped at {MAX_ENTRIES} classes")
-    numeric = [NumericClass.from_spec(s, budget.rank_tol, budget.eig_tol) for s in specs]
-    G = np.array([nc.jordan_matrix for nc in numeric])
+    G = np.array([jordan_matrix(s) for s in specs])
 
     all_over_cap = True
     for index in range(budget.restarts):
         Q, cond_max = _run_restart(G, multiplicative, budget, index)
         if cond_max == np.inf:
             continue
-        if cond_max <= budget.cond_cap:
+        if cond_max <= COND_CAP:
             all_over_cap = False
         A, residual = _residual_of(G, Q, multiplicative)
         # the residual is cheap; membership runs eigenvalue and rank SVDs
         if not residual < budget.residual_tol:
             continue
-        membership = all(numeric[j].membership(A[j]) for j in range(m))
+        membership = all(class_membership(A[j], specs[j]) for j in range(m))
         if not membership:
             continue
-        bdim = burnside_dim(list(A), budget.rank_tol)
-        nullity = centralizer_nullity(list(A), budget.rank_tol)
+        bdim = burnside_dim(list(A))
+        nullity = centralizer_nullity(list(A))
         if bdim == n * n:
             assert nullity == 1, "irreducible tuple must have a trivial centralizer"
         return RealizationResult(
@@ -185,7 +195,6 @@ def realize(specs: Sequence[ClassSpec], budget: SearchBudget = SearchBudget()):
             certified=True,
             restart_index=index,
             backend=backend_name(),
-            budget=budget,
         )
     if all_over_cap:
         raise IllConditionedError(

@@ -28,6 +28,7 @@ __all__ = [
     "echo_problem",
     "base_report",
     "jnf_json",
+    "class_json",
     "tuple_json",
     "trace_json",
     "conditions_json",
@@ -42,8 +43,6 @@ class ProblemInput:
 
     def __init__(self, mode: str, blocks: list, eigenvalues: list):
         self.mode = mode
-        self.blocks = blocks
-        self.eigenvalues = eigenvalues
         self.tuple = JnfTuple([Jnf(b) for b in blocks])
         if all(evs is not None for evs in eigenvalues):
             self.specs: Optional[list[ClassSpec]] = [
@@ -101,18 +100,10 @@ def parse_problem(data: dict) -> ProblemInput:
 
 def echo_problem(problem: ProblemInput) -> dict:
     """Canonical echo; reparses to the identical internal value."""
-    classes = []
     if problem.specs is not None:
-        for spec in problem.specs:
-            classes.append(
-                {
-                    "blocks": [list(s.parts) for s in spec.jnf.slots],
-                    "eigenvalues": [format_scalar(e) for e in spec.eigenvalues],
-                }
-            )
+        classes = [class_json(spec.jnf, spec.eigenvalues) for spec in problem.specs]
     else:
-        for entry in problem.tuple.entries:
-            classes.append({"blocks": [list(s.parts) for s in entry.slots]})
+        classes = [class_json(entry) for entry in problem.tuple.entries]
     return {"mode": problem.mode, "classes": classes}
 
 
@@ -127,6 +118,15 @@ def base_report(command: str, problem: Optional[ProblemInput]) -> dict:
 
 def jnf_json(jnf: Jnf) -> list:
     return [list(s.parts) for s in jnf.slots]
+
+
+def class_json(jnf: Jnf, eigenvalues=None) -> dict:
+    """One class in the input format: its block lists, then its eigenvalues
+    when it has them."""
+    out = {"blocks": jnf_json(jnf)}
+    if eigenvalues is not None:
+        out["eigenvalues"] = [format_scalar(e) for e in eigenvalues]
+    return out
 
 
 def tuple_json(tup: JnfTuple) -> list:

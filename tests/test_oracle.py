@@ -6,11 +6,13 @@ import re
 import numpy as np
 import pytest
 
+from dspkit.enumerate import all_jnfs
 from dspkit.errors import IllConditionedError, InvalidInputError
 from dspkit.genericity import ClassSpec, sample_generic
 from dspkit.jnf import Jnf, JnfTuple, Partition
 from dspkit.oracle import (
     SearchBudget,
+    search,
     gn_numpy,
     burnside_dim,
     centralizer_nullity,
@@ -19,7 +21,7 @@ from dspkit.oracle import (
     realize,
 )
 from dspkit.scalars import AdditiveScalar, MultiplicativeScalar
-from oracles import kron_jacobian, normal_equations_step
+from oracles import jordan_matrix_exact, kron_jacobian, normal_equations_step
 
 
 def strata_specs():
@@ -52,17 +54,19 @@ class TestJordanMatrix:
         expected = np.array([[5, 1, 0], [0, 5, 0], [0, 0, 5]], dtype=complex)
         assert np.array_equal(G, expected)
 
-    def test_numeric_class_bundle(self):
-        from dspkit.oracle import NumericClass
-
-        spec = ClassSpec(
-            [(Partition([2, 1]), AdditiveScalar(5)), (Partition([1]), AdditiveScalar(0))],
-            "additive",
-        )
-        nc = NumericClass.from_spec(spec)
-        assert np.array_equal(nc.jordan_matrix, jordan_matrix(spec))
-        assert nc.membership(nc.jordan_matrix)
-        assert not nc.membership(np.diag([5.0, 5.0, 5.0, 0.0]).astype(complex))
+    def test_every_small_jnf_matches_exact_and_is_a_member(self):
+        """Superdiagonal ones sit where the JNF's blocks are, checked against
+        the exact Jordan matrix for every JNF with n <= 6."""
+        for n in range(1, 7):
+            for jnf in all_jnfs(n):
+                evs = [AdditiveScalar(7 + 2 * i) for i in range(jnf.num_slots)]
+                spec = ClassSpec(list(zip(jnf.slots, evs)), "additive")
+                assert spec.jnf == jnf
+                # the spec orders equal slots by eigenvalue, so read it back
+                exact = jordan_matrix_exact(spec.jnf, [e.re for e in spec.eigenvalues])
+                G = jordan_matrix(spec)
+                assert np.array_equal(G, np.array(exact, dtype=float)), jnf
+                assert class_membership(G, spec), jnf
 
     def test_multiplicative_values(self):
         spec = ClassSpec(
@@ -217,16 +221,35 @@ class TestRealize:
             ("jobs", -5, "jobs must be at least 1, got -5"),
             ("seed", -1, "seed must be in [0, 2**32), got -1"),
             ("seed", 2**32, f"seed must be in [0, 2**32), got {2**32}"),
+            ("restarts", 2.5, "restarts must be an integer, got 2.5"),
+            ("restarts", "3", "restarts must be an integer, got '3'"),
+            ("restarts", True, "restarts must be an integer, got True"),
+            ("iters", None, "iters must be an integer, got None"),
+            ("jobs", 1.0, "jobs must be an integer, got 1.0"),
+            ("seed", 1.5, "seed must be an integer, got 1.5"),
+            ("seed", False, "seed must be an integer, got False"),
+            ("residual_tol", True, "residual_tol must be a real number, got True"),
+            ("residual_tol", "1e-8", "residual_tol must be a real number, got '1e-8'"),
+            ("residual_tol", 1j, "residual_tol must be a real number, got 1j"),
         ],
     )
     def test_budget_with_which_nothing_runs_rejected(self, field, value, message):
         with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
             SearchBudget(**{field: value})
 
-    def test_unreachable_condition_cap(self):
+    def test_numpy_integers_accepted(self):
+        plain = realize(strata_specs(), SearchBudget(restarts=2, iters=60, seed=3))
+        numpy_ints = SearchBudget(restarts=np.int64(2), iters=np.int32(60), seed=np.uint32(3))
+        res = realize(strata_specs(), numpy_ints)
+        assert res.restart_index == plain.restart_index
+        for a, b in zip(res.matrices, plain.matrices):
+            assert np.array_equal(a, b)
+
+    def test_unreachable_condition_cap(self, monkeypatch):
         specs = strata_specs()
+        monkeypatch.setattr(search, "COND_CAP", 0.9)
         with pytest.raises(IllConditionedError):
-            realize(specs, SearchBudget(restarts=2, iters=5, cond_cap=0.9))
+            realize(specs, SearchBudget(restarts=2, iters=5))
 
     def test_parallel_restart_merge_matches_serial(self):
         tup = JnfTuple([Jnf([[1], [1]])] * 3)
