@@ -15,9 +15,6 @@ import os
 import sys
 from pathlib import Path
 
-from . import classify as cls
-from .decide import decide_generic, decide_weak_distinct
-from .enumerate import enumerate_rigid_diagonal
 from .errors import (
     DspkitError,
     IllConditionedError,
@@ -26,8 +23,6 @@ from .errors import (
     ResourceExceededError,
     SamplingExhaustedError,
 )
-from .genericity import check_evs, check_generalized_beta, find_relation, gcd_reduction
-from .jnf import invariant_summary, kappa_of
 from .report import (
     SCHEMA_VERSION,
     base_report,
@@ -37,7 +32,10 @@ from .report import (
     matrix_json,
     parse_problem,
 )
-from .scalars import format_scalar
+
+# Each _cmd_* handler imports the modules it runs, so that a process loads
+# only what its command needs: `invariants` and `decide` stay clear of the
+# eigenvalue code, and only `realize` loads numpy.
 
 _PROVENANCE = {
     "invariants": "centralizer-dimension closed form; rigidity index 2n^2 - sum d_j",
@@ -52,6 +50,8 @@ _PROVENANCE = {
 
 
 def _cmd_invariants(problem, args) -> tuple[dict, int]:
+    from .jnf import invariant_summary
+
     report = base_report("invariants", problem)
     summary = invariant_summary(problem.tuple)
     report["per_class"] = [
@@ -63,6 +63,8 @@ def _cmd_invariants(problem, args) -> tuple[dict, int]:
 
 
 def _cmd_decide(problem, args) -> tuple[dict, int]:
+    from .decide import decide_generic, decide_weak_distinct
+
     report = base_report("decide", problem)
     if args.weak:
         decision = decide_weak_distinct(problem.tuple)
@@ -74,6 +76,9 @@ def _cmd_decide(problem, args) -> tuple[dict, int]:
 
 
 def _cmd_generic(problem, args) -> tuple[dict, int]:
+    from .genericity import check_evs, check_generalized_beta, find_relation, gcd_reduction
+    from .scalars import format_scalar
+
     specs = problem.require_specs("generic")
     report = base_report("generic", problem)
     evs_ok = check_evs(specs)
@@ -116,6 +121,10 @@ def _cmd_generic(problem, args) -> tuple[dict, int]:
 
 
 def _cmd_classify(problem, args) -> tuple[dict, int]:
+    from . import classify as cls
+    from .genericity import check_evs
+    from .jnf import kappa_of
+
     report = base_report("classify", problem)
     report["provenance"] = (
         "table recognizers plus the generic-eigenvalue criterion; "
@@ -252,6 +261,9 @@ def _cmd_realize(problem, args) -> tuple[dict, int]:
 
 
 def _cmd_enumerate(args) -> tuple[dict, int]:
+    from .classify import match_rigid_family
+    from .enumerate import enumerate_rigid_diagonal
+
     if args.n < 1:
         raise InvalidInputError(f"--n must be at least 1, got {args.n}")
     if args.p < 1:
@@ -265,7 +277,7 @@ def _cmd_enumerate(args) -> tuple[dict, int]:
         found.append(
             {
                 "multiplicities": [sorted(e.multiplicities(), reverse=True) for e in tup],
-                "rigid_family": cls.match_rigid_family(tup).value,
+                "rigid_family": match_rigid_family(tup).value,
             }
         )
     report["tuples"] = found

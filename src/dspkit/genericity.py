@@ -17,6 +17,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from .errors import (
@@ -527,15 +528,17 @@ def _well_scaled(values, mode: str) -> bool:
     return True
 
 
-def _primes_above(bound: int, count: int) -> list[int]:
-    """The `count` smallest primes greater than `bound`."""
+@lru_cache(maxsize=None)
+def _primes_above(bound: int, count: int) -> tuple[int, ...]:
+    """The `count` smallest primes greater than `bound`, found once per
+    (bound, count): every draw for the same size and slot count needs them."""
     primes: list[int] = []
     q = bound
     while len(primes) < count:
         q += 1
         if all(q % d for d in range(2, math.isqrt(q) + 1)):
             primes.append(q)
-    return primes
+    return tuple(primes)
 
 
 def sample_generic(

@@ -21,10 +21,14 @@ __all__ = [
     "class_membership",
     "RANK_TOL",
     "EIG_TOL",
+    "COND_CAP",
 ]
 
 RANK_TOL = 1e-6  # singular values below RANK_TOL times the largest count as zero
 EIG_TOL = 1e-6  # floor of the distance at which an eigenvalue matches its target
+# the search's cap on the condition numbers of random starts and of restart
+# results; eigenvalue matching widens with it
+COND_CAP = 1e4
 
 
 def jordan_matrix(spec: ClassSpec) -> np.ndarray:
@@ -110,7 +114,7 @@ def class_membership(matrix: np.ndarray, spec: ClassSpec) -> bool:
     # error of eps*scale*cond is O((eps*scale*cond)^(1/b)); allow for the
     # search's conjugator condition cap
     match_tols = [
-        max(EIG_TOL, 10.0 * (eps * scale * 1e4) ** (1.0 / slot.parts[0]))
+        max(EIG_TOL, 10.0 * (eps * scale * COND_CAP) ** (1.0 / slot.parts[0]))
         for slot in spec.jnf.slots
     ]
     eigs = np.linalg.eigvals(A)

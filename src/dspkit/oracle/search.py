@@ -18,14 +18,13 @@ import numpy as np
 
 from ..errors import IllConditionedError, InvalidInputError
 from ..genericity import ClassSpec, validate_specs
-from . import gn_numpy
+from . import gn_numpy, numeric
 from .numeric import burnside_dim, centralizer_nullity, class_membership, jordan_matrix
 
 __all__ = ["SearchBudget", "RealizationResult", "realize", "backend_name", "MAX_SIZE", "MAX_ENTRIES"]
 
 MAX_SIZE = 8
 MAX_ENTRIES = 6
-COND_CAP = 1e4  # on the condition numbers of random starts and of restart results
 
 
 @dataclass(frozen=True)
@@ -100,7 +99,7 @@ def _random_start(seed: int, restart: int, m: int, n: int):
             radius = np.sqrt(rng.uniform(0, 1, size=(n, n)))
             angle = rng.uniform(0, 2 * np.pi, size=(n, n))
             cand = radius * np.exp(1j * angle)
-            if np.linalg.cond(cand) <= COND_CAP:
+            if np.linalg.cond(cand) <= numeric.COND_CAP:
                 Q[j] = cand
                 break
         else:
@@ -172,7 +171,7 @@ def realize(specs: Sequence[ClassSpec], budget: SearchBudget = SearchBudget()):
         Q, cond_max = _run_restart(G, multiplicative, budget, index)
         if cond_max == np.inf:
             continue
-        if cond_max <= COND_CAP:
+        if cond_max <= numeric.COND_CAP:
             all_over_cap = False
         A, residual = _residual_of(G, Q, multiplicative)
         # the residual is cheap; membership runs eigenvalue and rank SVDs

@@ -10,14 +10,16 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-from .decide import DecisionReport, PsiTrace
 from .errors import InvalidInputError
-from .genericity import ClassSpec
 from .jnf import Jnf, JnfTuple, Partition
-from .scalars import format_scalar, parse_scalar
 
-if TYPE_CHECKING:  # numpy is imported only where a matrix is read
+if TYPE_CHECKING:
+    # Imported at run time only where they are used: the eigenvalue modules
+    # where an input carries eigenvalues, numpy where a matrix is read.
     import numpy as np
+
+    from .decide import DecisionReport, PsiTrace
+    from .genericity import ClassSpec
 
 SCHEMA_VERSION = "1"
 
@@ -45,6 +47,8 @@ class ProblemInput:
         self.mode = mode
         self.tuple = JnfTuple([Jnf(b) for b in blocks])
         if all(evs is not None for evs in eigenvalues):
+            from .genericity import ClassSpec
+
             self.specs: Optional[list[ClassSpec]] = [
                 ClassSpec(list(zip([Partition(p) for p in b], evs)), mode)
                 for b, evs in zip(blocks, eigenvalues)
@@ -92,6 +96,8 @@ def parse_problem(data: dict) -> ProblemInput:
                 raise InvalidInputError(
                     f"class {idx}: 'eigenvalues' must list one scalar per slot"
                 )
+            from .scalars import parse_scalar
+
             evs = [parse_scalar(t, mode) for t in evs]
         blocks_per_class.append(blocks)
         evs_per_class.append(evs)
@@ -125,6 +131,8 @@ def class_json(jnf: Jnf, eigenvalues=None) -> dict:
     when it has them."""
     out = {"blocks": jnf_json(jnf)}
     if eigenvalues is not None:
+        from .scalars import format_scalar
+
         out["eigenvalues"] = [format_scalar(e) for e in eigenvalues]
     return out
 

@@ -689,3 +689,45 @@ class TestNumpyLoading:
         assert out["at_numpy_import"]["OPENBLAS_NUM_THREADS"] == "2"
         assert out["at_numpy_import"]["OMP_NUM_THREADS"] == "1"
         assert out["after"] == "2"
+
+
+IMPORT_DSPKIT = """
+import json, sys
+import dspkit
+print(json.dumps({"modules": sorted(sys.modules)}))
+"""
+
+RUN_DSPKIT = """
+import contextlib, io, json, runpy, sys
+sys.argv = ["dspkit", *sys.argv[1:]]  # as `python -m dspkit ARGS`
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        runpy.run_module("dspkit", run_name="__main__", alter_sys=True)
+    except SystemExit as exc:
+        code = exc.code
+print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
+"""
+
+
+class TestImportHygiene:
+    """Each command loads only the modules it runs; one fresh interpreter per case."""
+
+    def test_import_dspkit_loads_no_submodule(self):
+        out = run_python(IMPORT_DSPKIT, env=os.environ)
+        assert [m for m in out["modules"] if m.startswith("dspkit.")] == []
+
+    @pytest.mark.parametrize("argv", [["invariants"], ["decide", "--trace"]])
+    def test_blocks_only_commands_skip_eigenvalue_code(self, argv):
+        command, *flags = argv
+        fixture = str(FIXTURES / "extra_case.json")  # blocks only
+        out = run_python(RUN_DSPKIT, command, fixture, *flags, env=os.environ)
+        assert out["code"] == 0
+        unloaded = {"dspkit.genericity", "dspkit.scalars", "dspkit.classify", "dspkit.enumerate"}
+        assert unloaded.isdisjoint(out["modules"])
+        assert "fractions" not in out["modules"]
+
+    def test_generic_skips_classify_and_numpy(self):
+        fixture = str(FIXTURES / "hypergeometric_n2_generic.json")
+        out = run_python(RUN_DSPKIT, "generic", fixture, env=os.environ)
+        assert out["code"] == 0
+        assert {"dspkit.classify", "dspkit.enumerate", "numpy"}.isdisjoint(out["modules"])

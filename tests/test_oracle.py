@@ -12,8 +12,8 @@ from dspkit.genericity import ClassSpec, sample_generic
 from dspkit.jnf import Jnf, JnfTuple, Partition
 from dspkit.oracle import (
     SearchBudget,
-    search,
     gn_numpy,
+    numeric,
     burnside_dim,
     centralizer_nullity,
     class_membership,
@@ -127,6 +127,15 @@ class TestCertificates:
             "additive",
         )
         assert not class_membership(np.eye(2, dtype=complex), spec)
+
+    def test_block_matching_tolerance_follows_condition_cap(self, monkeypatch):
+        # eigenvalues +-sqrt(1.5e-12) ~ 1.2e-6 split the size-2 block at 0:
+        # within 10 * sqrt(eps * COND_CAP) ~ 1.5e-5, beyond the EIG_TOL floor
+        spec = ClassSpec([(Partition([2]), AdditiveScalar(0))], "additive")
+        A = np.array([[0, 1], [1.5e-12, 0]], dtype=complex)
+        assert class_membership(A, spec)
+        monkeypatch.setattr(numeric, "COND_CAP", 1.0)
+        assert not class_membership(A, spec)
 
 
 class TestRealize:
@@ -247,7 +256,7 @@ class TestRealize:
 
     def test_unreachable_condition_cap(self, monkeypatch):
         specs = strata_specs()
-        monkeypatch.setattr(search, "COND_CAP", 0.9)
+        monkeypatch.setattr(numeric, "COND_CAP", 0.9)
         with pytest.raises(IllConditionedError):
             realize(specs, SearchBudget(restarts=2, iters=5))
 
