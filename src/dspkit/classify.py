@@ -13,7 +13,7 @@ import enum
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .decide import ReductionEngine, TerminationReason, Verdict, check_conditions
+from .decide import TerminationReason, Verdict, _engine, check_conditions
 from .errors import (
     InvalidInputError,
     KappaNotTwoError,
@@ -209,7 +209,7 @@ def is_good(tup: JnfTuple) -> bool:
     """Whether the generic-eigenvalue criterion declares the tuple solvable.
 
     Runs the default-choice reduction on ids and builds no trace."""
-    return ReductionEngine().walk(tup)[2] is not TerminationReason.PSI_UNDEFINED
+    return _engine().walk(tup)[2] is not TerminationReason.PSI_UNDEFINED
 
 
 @dataclass(frozen=True)

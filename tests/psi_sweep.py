@@ -3,29 +3,40 @@
 The sweeps run on `dspkit.decide.ReductionEngine`: every entry is interned
 through the engine, a state is a sorted tuple of its ids, and the engine's
 `verdict` gives the all-choices verdict.  This module only enumerates the
-states, and recomputes one-step children with the package's `psi_step` so
-that the engine's children can be checked against them.
+states, and rebuilds one-step children from plain int parts with
+`oracles.shrink_plain` and the checked `Jnf` constructor, sharing no code
+with the engine's children, so that those can be checked against them.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from dspkit.decide import ReductionEngine, maximizer_slots, psi_step
+from dspkit.decide import ReductionEngine
 from dspkit.enumerate import all_jnfs
-from dspkit.jnf import JnfTuple
+from dspkit.jnf import Jnf, JnfTuple
+
+from oracles import shrink_plain
 
 
-def children_via_psi_step(engine: ReductionEngine, tup: JnfTuple) -> set:
-    """All one-step children computed by `psi_step`, as sorted id states."""
-    per_entry = []
-    for e in tup.entries:
-        seen = {}
-        for idx in maximizer_slots(e):
-            seen.setdefault(e.slots[idx].parts, idx)
-        per_entry.append(sorted(seen.values()))
+def children_from_plain_parts(engine: ReductionEngine, tup: JnfTuple) -> set:
+    """All one-step children over every choice of maximizer slots, built
+    from plain int parts, as sorted id states."""
+    plain = [[list(s.parts) for s in e.slots] for e in tup.entries]
+    n = sum(sum(parts) for parts in plain[0])
+    # r = n - the largest block count; the step shrinks 2n - sum r blocks
+    tops = [max(len(parts) for parts in entry) for entry in plain]
+    count = 2 * n - sum(n - top for top in tops)
+    per_entry = [
+        {
+            Jnf(shrink_plain(entry, i, count))
+            for i, parts in enumerate(entry)
+            if len(parts) == top
+        }
+        for entry, top in zip(plain, tops)
+    ]
     return {
-        tuple(sorted(engine.state(psi_step(tup, list(combo)))))
+        tuple(sorted(engine.intern(j) for j in combo))
         for combo in itertools.product(*per_entry)
     }
 

@@ -374,8 +374,10 @@ def test_a11_choice_independence_exhaustive():
     The sweep runs on the package's ReductionEngine: each entry is interned
     to a small int once, a state is a sorted tuple of ids, and only the
     states reached as children are memoized, never the roots.  On a seeded
-    sample its children are first checked against psi_step and its verdicts
-    against decide_generic and the star-quiver root oracle, then the
+    sample its children are first checked against children rebuilt from
+    plain int parts by the checked constructors (psi_step shares the
+    engine's children, so it cannot check them) and its verdicts against decide_generic and the
+    star-quiver root oracle, then the
     exhaustive sweep asserts a unique verdict per tuple (verdict() raises
     ChoiceDependenceError on any disagreement).
     """
@@ -397,7 +399,7 @@ def test_a11_choice_independence_exhaustive():
                     count = engine.gate(state)
                     options = [engine.choices(e, count) for e in state]
                     children = {tuple(sorted(c)) for c in itertools.product(*options)}
-                    assert children == psi_sweep.children_via_psi_step(engine, tup)
+                    assert children == psi_sweep.children_from_plain_parts(engine, tup)
                     fast = engine.verdict(state)
                     assert fast is decide_generic(tup).verdict
                     assert (fast is Verdict.SOLVABLE) == star_root_verdict(tup)

@@ -1,11 +1,16 @@
 """Conditions, the reduction step, and the generic/weak decision procedures."""
 
+import itertools
 import random
+import sys
+import threading
 
 import pytest
 
+from dspkit import classify, decide
 from dspkit.classify import is_good
 from dspkit.decide import (
+    ReductionEngine,
     TerminationReason,
     Verdict,
     check_conditions,
@@ -15,7 +20,7 @@ from dspkit.decide import (
     psi_defined,
     psi_step,
 )
-from dspkit.enumerate import random_psi_defined_tuple
+from dspkit.enumerate import all_jnfs, random_psi_defined_tuple
 from dspkit.errors import InvalidChoiceError, NotApplicableError, PsiUndefinedError
 from dspkit.jnf import Jnf, JnfTuple, kappa_of
 
@@ -101,10 +106,6 @@ class TestPsiStep:
         """psi_step over every choice of maximizer slots, on every
         reduction-defined tuple with n <= 5 and 3-4 entries, equals the tuple
         the checked constructors build from plain int parts."""
-        import itertools
-
-        from dspkit.enumerate import all_jnfs
-
         steps = 0
         for n in range(2, 6):
             for m in (3, 4):
@@ -228,10 +229,6 @@ class TestTraceAgainstPlainTuples:
 
     def test_every_small_reduction_defined_tuple(self):
         """Every tuple with n <= 5 and 2-4 entries, reduction-defined or not."""
-        import itertools
-
-        from dspkit.enumerate import all_jnfs
-
         seen = {True: 0, False: 0}
         defined = 0
         for n in range(1, 6):
@@ -316,11 +313,6 @@ class TestRandomProperties:
     def test_sweep_enumerator_matches_naive_filter(self):
         """The fast sweep enumerator yields exactly the reduction-defined
         multisets (elementwise, against a naive psi_defined filter)."""
-        import itertools
-
-        from dspkit.decide import ReductionEngine
-        from dspkit.enumerate import all_jnfs
-        from dspkit.jnf import JnfTuple
         from psi_sweep import iter_psi_defined_states
 
         engine = ReductionEngine()
@@ -340,7 +332,6 @@ class TestRandomProperties:
         the start gives identical verdicts on every reduction-defined tuple
         of size <= 6 (same slot-choice rule in both variants); any difference
         would be reported here."""
-        from dspkit.decide import ReductionEngine
         from psi_sweep import iter_psi_defined_states
 
         engine = ReductionEngine()
@@ -372,3 +363,101 @@ class TestRandomProperties:
         for tup in differences[:20]:
             print("  differs:", tup)
         assert not differences
+
+
+@pytest.fixture(scope="module")
+def engine_population():
+    """All 5,552 reduction-defined tuples with n <= 5 and 3-4 entries, then
+    2,000 seeded random reduction-defined tuples with n <= 12."""
+    tups = [
+        tup
+        for n in range(2, 6)
+        for m in (3, 4)
+        for combo in itertools.combinations_with_replacement(all_jnfs(n), m)
+        for tup in [JnfTuple(combo)]
+        if psi_defined(tup)
+    ]
+    assert len(tups) == 5552
+    rng = random.Random(4)
+    while len(tups) < 5552 + 2000:
+        tup = random_psi_defined_tuple(rng, max_n=12)
+        if tup is not None:
+            tups.append(tup)
+    return tups
+
+
+def _engine_results(tups):
+    """Per tuple: the decision report's repr, is_good, and psi_step's output
+    (repr, hash and stored invariants) at the default choice and at every
+    choice of maximizer slots."""
+    out = []
+    for tup in tups:
+        steps = []
+        for choice in [None, *itertools.product(*[maximizer_slots(e) for e in tup.entries])]:
+            child = psi_step(tup, choice)
+            invariants = [(e.size, e.max_blocks, e.r, e.z, e.d) for e in child.entries]
+            steps.append((repr(child), hash(child), invariants))
+        out.append((repr(decide_generic(tup)), is_good(tup), steps))
+    return out
+
+
+@pytest.fixture(scope="module")
+def fresh_engine_results(engine_population):
+    """The results with a fresh ReductionEngine for every call."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(decide, "_engine", ReductionEngine)
+        mp.setattr(classify, "_engine", ReductionEngine)
+        return _engine_results(engine_population)
+
+
+class TestSharedEngine:
+    """decide_generic, is_good and psi_step share one bounded engine per
+    thread; on every tuple and choice they give what a fresh engine per call
+    gives, cold and warm, across replacements at the cap and on threads."""
+
+    @pytest.fixture(autouse=True)
+    def cold_engines(self, monkeypatch):
+        monkeypatch.setattr(decide, "_local", threading.local())
+
+    def test_cold_and_warm(self, engine_population, fresh_engine_results):
+        assert _engine_results(engine_population) == fresh_engine_results
+        engine = decide._engine()
+        assert len(engine.jnfs) <= decide._ENGINE_CAP
+        assert _engine_results(engine_population) == fresh_engine_results
+        assert decide._engine() is engine
+
+    def test_replaced_past_the_cap(self, monkeypatch, engine_population, fresh_engine_results):
+        monkeypatch.setattr(decide, "_ENGINE_CAP", 8)
+        first = decide._engine()
+        assert _engine_results(engine_population) == fresh_engine_results
+        assert decide._engine() is not first
+        assert len(decide._engine().jnfs) <= 8
+
+    def test_one_engine_per_thread(self, engine_population, fresh_engine_results):
+        """Four threads, more than the cores, switching every 10 us: an
+        engine shared between them would hand out wrong ids."""
+        slices = 4
+        start = threading.Barrier(slices, timeout=60)
+        results = [None] * slices
+        engines = [None] * slices
+
+        def work(i):
+            start.wait()
+            results[i] = _engine_results(engine_population[i::slices])
+            engines[i] = decide._engine()
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(slices)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for i in range(slices):
+            assert results[i] == fresh_engine_results[i::slices], i
+        assert len({id(e) for e in engines}) == slices
+        assert decide._engine() not in engines

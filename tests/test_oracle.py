@@ -255,10 +255,24 @@ class TestRealize:
             assert np.array_equal(a, b)
 
     def test_unreachable_condition_cap(self, monkeypatch):
+        """No matrix has a condition number below 1, so under a cap of 0.9
+        the first restart cannot draw its start."""
         specs = strata_specs()
         monkeypatch.setattr(numeric, "COND_CAP", 0.9)
-        with pytest.raises(IllConditionedError):
+        with pytest.raises(IllConditionedError, match="^could not draw a well-conditioned start$"):
             realize(specs, SearchBudget(restarts=2, iters=5))
+
+    def test_condition_cap_bounds_the_final_conjugators(self, monkeypatch):
+        """A warm start draws no random start.  From this one a single
+        iteration ends uncertified with conjugators of condition about 3:
+        under the cap that is a failed search, above it an ill-conditioned one."""
+        warm = (np.eye(2, dtype=complex), S1_WARM[1], np.array([[2, 1], [1, 1]], dtype=complex))
+        budget = SearchBudget(restarts=1, iters=1, warm_start=warm)
+        assert realize(strata_specs(), budget) is None
+        monkeypatch.setattr(numeric, "COND_CAP", 0.9)
+        message = "^every restart ended with conjugators above the condition cap$"
+        with pytest.raises(IllConditionedError, match=message):
+            realize(strata_specs(), budget)
 
     def test_parallel_restart_merge_matches_serial(self):
         tup = JnfTuple([Jnf([[1], [1]])] * 3)
