@@ -133,7 +133,14 @@ def random_psi_defined_tuple(
 
     Draws a feasible r-vector first (beta holds, omega fails), then JNFs with
     the matching maximal block counts, retrying until alpha holds as well.
+    Sizes are drawn from 2..max_n and p from 2..max_p.
+
+    Raises InvalidInputError when max_n < 2 or max_p < 2.
     """
+    if max_n < 2:
+        raise InvalidInputError(f"max_n must be at least 2, got {max_n}")
+    if max_p < 2:
+        raise InvalidInputError(f"max_p must be at least 2, got {max_p}")
     for _ in range(max_tries):
         n = rng.randint(2, max_n)
         count = rng.randint(3, max_p + 1)

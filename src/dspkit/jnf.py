@@ -115,7 +115,8 @@ class Jnf:
     A slot is a `Partition` or an iterable of int parts; anything else
     raises InvalidInputError.  The size, the largest block count of a slot
     (`max_blocks`) and r = size - max_blocks are stored on the value; z and d
-    are computed on first use and then stored.
+    are computed on first use and then stored.  This constructor is the one
+    way a Jnf is built, reduction children (`_shrunk`) included.
     """
 
     slots: tuple[Partition, ...]
@@ -181,58 +182,14 @@ class Jnf:
     def _shrunk(self, slot: int, count: int) -> "Jnf":
         """This JNF with the `count` smallest blocks of slot `slot` shrunk by
         1 and zero blocks dropped; 1 <= count <= that slot's block count.
-
-        Built from this value's invariants without re-sorting or
-        re-validating: the shrunk parts stay descending, and they compare
-        below the old ones, so the new slot sorts after position `slot`.
-        With k blocks, keep = k - count of them untouched, and b_i weighted
-        by 2i - 1 in z, z falls by the sum of 2i - 1 over i = keep+1..k,
-        which is k^2 - keep^2.
-        """
+        Raises InvalidInputError when no slot is left."""
         slots = self.slots
-        old = slots[slot]
-        parts = old.parts
-        k = old.num_parts
-        keep = k - count
-        assert 0 <= keep < k, "cannot shrink more blocks than the slot has"
-        if parts[keep] == 1:
-            # the shrunk blocks are the smallest: a first one of size 1 means all vanish
-            new_parts = parts[:keep]
-        else:
-            new_parts = parts[:keep] + tuple([b - 1 for b in parts[keep:] if b > 1])
-        max_blocks = self.max_blocks
-        if new_parts:
-            at = slot + 1
-            end = len(slots)
-            while at < end and slots[at].parts > new_parts:
-                at += 1
-            new = _object_new(Partition)
-            new.__dict__.update(
-                parts=new_parts,
-                total=old.total - count,
-                num_parts=len(new_parts),
-                _hash=hash((new_parts,)),
-            )
-            child = slots[:slot] + slots[slot + 1 : at] + (new,) + slots[at:]
-        else:
-            child = slots[:slot] + slots[slot + 1 :]
-            if not child:
-                raise InvalidInputError("JNF must have at least one eigenvalue slot")
-        if k == max_blocks and len(new_parts) < k:
-            max_blocks = max([s.num_parts for s in child])
-        size = self.size - count
-        z = self.z - (k * k - keep * keep)
-        jnf = _object_new(Jnf)
-        jnf.__dict__.update(
-            slots=child,
-            size=size,
-            max_blocks=max_blocks,
-            r=size - max_blocks,
-            _hash=hash((child,)),
-            z=z,
-            d=size * size - z,
-        )
-        return jnf
+        parts = slots[slot].parts
+        keep = len(parts) - count
+        assert 0 <= keep < len(parts), "cannot shrink more blocks than the slot has"
+        shrunk = parts[:keep] + tuple([b - 1 for b in parts[keep:] if b > 1])
+        rest = slots[:slot] + slots[slot + 1 :]
+        return Jnf(rest + (shrunk,) if shrunk else rest)
 
     def __repr__(self) -> str:
         inner = ",".join(str(list(s.parts)) for s in self.slots)
@@ -270,7 +227,9 @@ class JnfTuple:
     @classmethod
     def _of_one_size(cls, entries: tuple[Jnf, ...]) -> "JnfTuple":
         """A tuple of at least two entries already known to share one size,
-        built without the checks."""
+        built without the checks: the one trusted constructor in this module.
+        Traces and `psi_step` build one per reduction step, and a checked
+        tuple costs twice as much (1.8 against 0.8 us on Python 3.11)."""
         tup = _object_new(cls)
         tup.__dict__.update(entries=entries, n=entries[0].size, _hash=hash((entries,)))
         return tup

@@ -128,7 +128,10 @@ def _run_restart(G, multiplicative: bool, budget: SearchBudget, index: int):
     from a numerically singular start."""
     m, n, _ = G.shape
     if budget.warm_start is not None and index == 0:
-        Q0 = np.ascontiguousarray(np.array(budget.warm_start, dtype=np.complex128))
+        try:
+            Q0 = np.ascontiguousarray(np.array(budget.warm_start, dtype=np.complex128))
+        except (TypeError, ValueError):
+            raise InvalidInputError(f"warm start must be {m} numeric {n}x{n} matrices") from None
         if Q0.shape != (m, n, n):
             raise InvalidInputError(f"warm start must have shape {(m, n, n)}, got {Q0.shape}")
         if not np.isfinite(Q0).all():
@@ -153,8 +156,8 @@ def realize(specs: Sequence[ClassSpec], budget: SearchBudget = SearchBudget()):
     and counts as above the condition cap.
 
     Raises InvalidInputError above the size caps or for a warm start of the
-    wrong shape or with non-finite entries, and IllConditionedError when
-    every restart ends above the condition cap.
+    wrong shape (ragged included) or with non-numeric or non-finite entries,
+    and IllConditionedError when every restart ends above the condition cap.
     """
     mode = validate_specs(specs)
     multiplicative = mode == "multiplicative"

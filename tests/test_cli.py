@@ -431,6 +431,11 @@ class TestRealize:
                 ', [[[1, 0], [0, 0]], [[0, 0], [1, 0]]], [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]]}',
                 "warm start must have finite entries",
             ),
+            (
+                '{"conjugators": [[[[1, 0]]], [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]'
+                ', [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]]}',
+                "warm start must be 3 numeric 2x2 matrices",
+            ),
         ],
     )
     def test_bad_warm_start_exit2(self, capsys, tmp_path, content, message):
@@ -442,6 +447,7 @@ class TestRealize:
         assert code == 2
         assert captured.out == ""
         assert message in captured.err
+        assert "Traceback" not in captured.err
 
     @pytest.mark.parametrize("restarts", ["1", "2"])
     def test_singular_warm_start_skipped(self, capsys, tmp_path, restarts):

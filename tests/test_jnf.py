@@ -20,7 +20,7 @@ from dspkit.jnf import (
     r_of,
     z_of,
 )
-from dspkit.enumerate import all_jnfs, random_jnf
+from dspkit.enumerate import all_jnfs, random_jnf, random_psi_defined_tuple
 
 from oracles import (
     assert_same_as_checked,
@@ -156,8 +156,9 @@ class TestStoredInvariants:
 
 
 class TestTrustedChildren:
-    """`Jnf._shrunk` builds a child from its parent's invariants, without
-    sorting or checks; every child equals the checked constructor's value."""
+    """`Jnf._shrunk` builds each reduction child through the checked
+    constructors; every child, and every child of a child, equals the value
+    `Jnf` builds from plain int parts shrunk independently."""
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_every_slot_and_count(self, n):
@@ -315,3 +316,16 @@ class TestRandomJnf:
     def test_out_of_range_rejected(self, n, max_blocks):
         with pytest.raises(InvalidInputError):
             random_jnf(n, random.Random(0), max_blocks=max_blocks)
+
+
+class TestRandomPsiDefinedTuple:
+    @pytest.mark.parametrize("name, value", [("max_n", 1), ("max_p", 1), ("max_n", 0), ("max_p", -3)])
+    def test_bound_below_two_rejected(self, name, value):
+        with pytest.raises(InvalidInputError, match=f"^{name} must be at least 2, got {value}$"):
+            random_psi_defined_tuple(random.Random(0), **{name: value})
+
+    def test_smallest_bounds_draw(self):
+        rng = random.Random(0)
+        for _ in range(20):
+            tup = random_psi_defined_tuple(rng, max_n=2, max_p=2)
+            assert (tup.n, len(tup)) == (2, 3)

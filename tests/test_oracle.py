@@ -341,3 +341,15 @@ class TestWarmStartRejects:
         warm = (np.full((2, 2), bad, dtype=complex),) + S1_WARM[1:]
         with pytest.raises(InvalidInputError, match="^warm start must have finite entries$"):
             realize(strata_specs(), SearchBudget(restarts=2, warm_start=warm))
+
+    @pytest.mark.parametrize(
+        "warm",
+        [
+            (np.eye(1, dtype=complex), np.eye(2, dtype=complex), np.eye(2, dtype=complex)),
+            ("a", "b", "c"),
+        ],
+        ids=["ragged", "strings"],
+    )
+    def test_non_array_warm_start_rejected(self, warm):
+        with pytest.raises(InvalidInputError, match="^warm start must be 3 numeric 2x2 matrices$"):
+            realize(strata_specs(), SearchBudget(restarts=1, warm_start=warm))
