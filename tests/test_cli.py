@@ -307,6 +307,21 @@ class TestClassify:
         assert report2["weak_kappa0"]["verdict"] == "not_solvable"
 
 
+@pytest.mark.parametrize("command", ["generic", "classify"])
+def test_size_mismatch_reported_before_repeated_eigenvalue(capsys, tmp_path, command):
+    # class 0 repeats an eigenvalue, but the sizes 2 and 1 are checked first
+    problem = {"mode": "additive", "classes": [
+        {"blocks": [[1], [1]], "eigenvalues": ["1", "1"]},
+        {"blocks": [[1]], "eigenvalues": ["-2"]},
+    ]}
+    path = tmp_path / "mismatch.json"
+    path.write_text(json.dumps(problem))
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: all entries must share one size, got [1, 2]\n"
+
+
 class TestRealize:
     def test_s1_warm_start(self, capsys):
         code, (report,) = run(
