@@ -42,6 +42,7 @@ _MODULE_OF = {
             "psi_step",
         ),
         "genericity": (
+            "Assignment",
             "ClassSpec",
             "GcdReduction",
             "RelationWitness",

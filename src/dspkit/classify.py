@@ -20,7 +20,14 @@ from .errors import (
     NotApplicableError,
     ResourceExceededError,
 )
-from .genericity import ClassSpec, _relation_counts, check_evs, gcd_reduction, specs_tuple
+from .genericity import (
+    Assignment,
+    ClassSpec,
+    _assignment,
+    _relation_counts,
+    check_evs,
+    gcd_reduction,
+)
 from .jnf import Jnf, JnfTuple, Partition, Subordination, is_subordinate, kappa_of
 
 __all__ = [
@@ -182,7 +189,10 @@ def decide_unipotent_nilpotent(tup: JnfTuple, problem: str, mode: str) -> Verdic
     omega is necessary here; with omega and no special/almost-special match
     both problems are solvable.  Special rows are unsolvable for both
     problems; almost-special rows keep the weak problem solvable while the
-    full problem is unsolvable additively and open multiplicatively.
+    full problem is unsolvable additively and open multiplicatively.  Raises
+    InvalidInputError for a `problem` other than dsp or weak_dsp or an
+    unknown mode, and NotApplicableError when an entry has more than one
+    eigenvalue slot.
     """
     if problem not in ("dsp", "weak_dsp"):
         raise InvalidInputError(f"problem must be dsp or weak_dsp, got {problem!r}")
@@ -227,20 +237,22 @@ def is_special_diagonal(specs: Sequence[ClassSpec]) -> Optional[SpecialDiagonalW
     candidate quotient is forced: diagonal classes with the same eigenvalues
     and multiplicities divided by n1.  The tuple is special-diagonal when some
     factorization divides all multiplicities, the quotient tuple is good, and
-    (multiplicatively) the quotient eigenvalue product is exactly 1.
+    (multiplicatively) the quotient eigenvalue product is exactly 1.  Raises
+    InvalidInputError for specs that `Assignment` rejects, and
+    KappaNotTwoError when the rigidity index is not 2.
     """
-    tup = specs_tuple(specs)
-    kappa = kappa_of(tup)
+    specs = _assignment(specs)
+    kappa = kappa_of(specs.jnfs)
     if kappa != 2:
         raise KappaNotTwoError(f"special-diagonal recognition needs rigidity index 2, got {kappa}")
-    n = tup.n
-    mode = specs[0].mode
+    n = specs.n
+    mode = specs.mode
     for n1 in range(2, n + 1):
         if n % n1 != 0:
             continue
         if any(m % n1 != 0 for s in specs for m in s.multiplicities()):
             continue
-        quotient = [
+        quotient = Assignment(
             ClassSpec(
                 [
                     (Partition((1,) * (m // n1)), ev)
@@ -249,8 +261,8 @@ def is_special_diagonal(specs: Sequence[ClassSpec]) -> Optional[SpecialDiagonalW
                 mode,
             )
             for s in specs
-        ]
-        if not is_good(specs_tuple(quotient)):
+        )
+        if not is_good(quotient.jnfs):
             continue
         if mode == "multiplicative" and not check_evs(quotient):
             continue
@@ -261,7 +273,7 @@ def is_special_diagonal(specs: Sequence[ClassSpec]) -> Optional[SpecialDiagonalW
                 ev: Partition((1,) * m) for ev, m in zip(s.eigenvalues, s.multiplicities())
             }
             assert is_subordinate(replicated, s.labelled_slots()) is Subordination.SUBORDINATE
-        return SpecialDiagonalWitness(l=n // n1, n1=n1, quotient=tuple(quotient))
+        return SpecialDiagonalWitness(l=n // n1, n1=n1, quotient=quotient)
     return None
 
 
@@ -269,7 +281,9 @@ def weak_verdict_kappa2(specs: Sequence[ClassSpec]) -> tuple[Verdict, Optional[S
     """Weak-problem verdict at rigidity index 2.
 
     Special-diagonal tuples are not solvable; for the rest the converse is
-    only conjectured, so the verdict stays UNKNOWN.
+    only conjectured, so the verdict stays UNKNOWN.  Raises the errors of
+    `is_special_diagonal`: InvalidInputError for specs that `Assignment`
+    rejects, and KappaNotTwoError when the rigidity index is not 2.
     """
     witness = is_special_diagonal(specs)
     if witness is not None:
@@ -287,19 +301,19 @@ def weak_verdict_kappa0(specs: Sequence[ClassSpec]) -> Verdict:
     Additively the weak problem is then unsolvable; multiplicatively it is
     solvable iff the reduced product is a primitive d-th root of unity.
     """
-    tup = specs_tuple(specs)
-    kappa = kappa_of(tup)
+    specs = _assignment(specs)
+    kappa = kappa_of(specs.jnfs)
     if kappa != 0:
         raise InvalidInputError(f"this verdict needs rigidity index 0, got {kappa}")
     if not check_evs(specs):
         raise InvalidInputError("eigenvalues must satisfy the global product/sum constraint")
-    if not is_good(tup):
+    if not is_good(specs.jnfs):
         return Verdict.NOT_APPLICABLE
     red = gcd_reduction(specs)
     if red.d <= 1:
         return Verdict.NOT_APPLICABLE
-    base = tup.n // red.d
-    mode = specs[0].mode
+    base = specs.n // red.d
+    mode = specs.mode
     try:
         for k, count in enumerate(_relation_counts(specs), start=1):
             if k % base == 0:

@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import (
     InvalidInputError,
@@ -27,11 +27,12 @@ from .errors import (
     SlotCollisionError,
     UnsupportedScalarError,
 )
-from .jnf import Jnf, JnfTuple, Partition, r_of
+from .jnf import Jnf, JnfTuple, Partition, _lazy, r_of
 from .scalars import AdditiveScalar, MultiplicativeScalar, Scalar
 
 __all__ = [
     "ClassSpec",
+    "Assignment",
     "RelationWitness",
     "GcdReduction",
     "specs_tuple",
@@ -55,9 +56,14 @@ DEFAULT_STATE_BUDGET = 200_000
 class ClassSpec:
     """A JNF with one exact eigenvalue per slot and a problem mode.
 
-    Slots are kept in the JNF's canonical order with eigenvalues aligned;
-    equal partitions are ordered by their eigenvalue so equality of specs is
-    structural.
+    `slots` is an iterable of (blocks, eigenvalue) pairs, blocks a
+    `Partition` or an iterable of int parts.  Slots are kept in the JNF's
+    canonical order with eigenvalues aligned; equal partitions are ordered by
+    their eigenvalue so equality of specs is structural.  Raises
+    InvalidInputError for an unknown mode, for slots that are not an
+    iterable of pairs, for blocks that `Partition` rejects, for an eigenvalue
+    of the other mode's scalar type, for repeated eigenvalues and for no
+    slot at all.
     """
 
     jnf: Jnf
@@ -69,13 +75,18 @@ class ClassSpec:
             raise InvalidInputError(f"mode must be additive or multiplicative, got {mode!r}")
         want = AdditiveScalar if mode == "additive" else MultiplicativeScalar
         pairs = []
-        for blocks, ev in slots:
-            part = blocks if isinstance(blocks, Partition) else Partition(blocks)
-            if not isinstance(ev, want):
-                raise InvalidInputError(
-                    f"{mode} mode needs {want.__name__} eigenvalues, got {type(ev).__name__}"
-                )
-            pairs.append((part, ev))
+        try:
+            for blocks, ev in slots:
+                part = blocks if isinstance(blocks, Partition) else Partition(blocks)
+                if not isinstance(ev, want):
+                    raise InvalidInputError(
+                        f"{mode} mode needs {want.__name__} eigenvalues, got {type(ev).__name__}"
+                    )
+                pairs.append((part, ev))
+        except (TypeError, ValueError):  # not iterable, or not a pair
+            raise InvalidInputError(
+                f"class slots must be (blocks, eigenvalue) pairs, got {slots!r}"
+            ) from None
         pairs.sort(key=lambda pe: (pe[0].parts, pe[1].sort_key()), reverse=True)
         evs = tuple(ev for _, ev in pairs)
         if len(set(evs)) != len(evs):
@@ -115,19 +126,65 @@ class GcdReduction:
     xi_primitive: Optional[bool]
 
 
+class Assignment(tuple):
+    """The classes of one problem, checked once: a tuple of `ClassSpec`s.
+
+    It goes wherever a `Sequence[ClassSpec]` does, and every genericity
+    function takes it as it is, so one problem's classes are checked once
+    and its integer keys built once.  Raises InvalidInputError unless
+    `specs` is an iterable of at least two `ClassSpec`s of one size and one
+    mode.  `mode`, `n` and `jnfs` (the classes' `JnfTuple`) are stored on
+    the value; `keys` and `constraint_holds` are built on first read.
+    """
+
+    def __new__(cls, specs: Iterable[ClassSpec]):
+        try:
+            self = super().__new__(cls, specs)
+        except TypeError:
+            raise InvalidInputError(f"classes must be an iterable, got {specs!r}") from None
+        if not all(isinstance(s, ClassSpec) for s in self):
+            raise InvalidInputError(f"classes must be ClassSpecs, got {list(self)!r}")
+        self.jnfs = JnfTuple([s.jnf for s in self])
+        modes = {s.mode for s in self}
+        if len(modes) != 1:
+            raise InvalidInputError(f"mixed modes: {sorted(modes)}")
+        self.mode = self[0].mode
+        self.n = self.jnfs.n
+        return self
+
+    @_lazy
+    def keys(self) -> tuple[int, list]:
+        """The exact integer keys of `_integer_keys`, built on first read."""
+        return _integer_keys(self)
+
+    @_lazy
+    def constraint_holds(self) -> bool:
+        """The global constraint, built on first read: whether the full
+        selection's key is 0."""
+        wrap, steps = self.keys
+        total = 0
+        for entry_steps in steps:
+            for copies in entry_steps:
+                step, low = copies[-1]
+                total += step
+                if low and total % wrap < low:
+                    total -= wrap
+        return total == 0
+
+
+def _assignment(specs: Sequence[ClassSpec]) -> Assignment:
+    """`specs` itself when it is an `Assignment`, else one built from it."""
+    return specs if isinstance(specs, Assignment) else Assignment(specs)
+
+
 def validate_specs(specs: Sequence[ClassSpec]) -> str:
-    if len(specs) < 2:
-        raise InvalidInputError("need at least two classes (p >= 1)")
-    modes = {s.mode for s in specs}
-    if len(modes) != 1:
-        raise InvalidInputError(f"mixed modes: {sorted(modes)}")
-    sizes = {s.n for s in specs}
-    if len(sizes) != 1:
-        raise InvalidInputError(f"all classes must share one size, got {sorted(sizes)}")
-    return specs[0].mode
+    """The mode of `specs`; raises InvalidInputError where `Assignment` does."""
+    return _assignment(specs).mode
 
 
 def specs_tuple(specs: Sequence[ClassSpec]) -> JnfTuple:
+    """The JnfTuple of the classes' JNFs; raises InvalidInputError where
+    `JnfTuple` does."""
     return JnfTuple([s.jnf for s in specs])
 
 
@@ -136,10 +193,9 @@ def check_evs(specs: Sequence[ClassSpec]) -> bool:
 
     Evaluated on the exact integer keys of the relation DPs: the full
     selection's key is 0 exactly when its value is.  Raises
-    InvalidInputError for specs that `validate_specs` rejects.
+    InvalidInputError for specs that `Assignment` rejects.
     """
-    validate_specs(specs)
-    return _constraint_holds(_integer_keys(specs))
+    return _assignment(specs).constraint_holds
 
 
 def _coprime_base(numbers) -> list[int]:
@@ -171,7 +227,7 @@ def _valuation(x: int, b: int) -> int:
     return e
 
 
-def _integer_keys(specs: Sequence[ClassSpec]) -> tuple[int, list]:
+def _integer_keys(specs: Assignment) -> tuple[int, list]:
     """Exact integer keys for every value the relation DPs of `specs` reach.
 
     A key is `free * wrap + cyclic` with 0 <= cyclic < wrap.  Additively
@@ -193,7 +249,7 @@ def _integer_keys(specs: Sequence[ClassSpec]) -> tuple[int, list]:
     c copies of the slot's eigenvalue for c = 0..m.
     """
     pairs = [(ev, m) for s in specs for ev, m in zip(s.eigenvalues, s.multiplicities())]
-    if specs[0].mode == "additive":
+    if specs.mode == "additive":
         wrap = 1
         scale = math.lcm(*(x.denominator for ev, _ in pairs for x in (ev.re, ev.im)))
         bound = sum(m * abs(ev.im.numerator) * (scale // ev.im.denominator) for ev, m in pairs)
@@ -233,19 +289,6 @@ def _integer_keys(specs: Sequence[ClassSpec]) -> tuple[int, list]:
             )
         steps.append(per_slot)
     return wrap, steps
-
-
-def _constraint_holds(keys: tuple[int, list]) -> bool:
-    """The global constraint on the integer keys: whether the full selection's key is 0."""
-    wrap, steps = keys
-    total = 0
-    for entry_steps in steps:
-        for copies in entry_steps:
-            step, low = copies[-1]
-            total += step
-            if low and total % wrap < low:
-                total -= wrap
-    return total == 0
 
 
 class _StateBudget:
@@ -372,9 +415,9 @@ def _relation_counts(specs: Sequence[ClassSpec], state_budget: int = DEFAULT_STA
     """Yield `relation_selection_count(specs, k, state_budget)` for
     k = 1..n-1 in turn, from one DP grown across k; each k raises the same
     errors as that call."""
-    validate_specs(specs)
-    keys = _integer_keys(specs)
-    for _, pairs in _pairs_by_cardinality(keys, "relation counting", state_budget, specs[0].n - 1):
+    specs = _assignment(specs)
+    last = specs.n - 1
+    for _, pairs in _pairs_by_cardinality(specs.keys, "relation counting", state_budget, last):
         yield sum(number for _, number in pairs)
 
 
@@ -390,17 +433,16 @@ def find_relation(
     up to n/2 when the global constraint holds, since the complement of a
     k-relation is then an (n-k)-relation.  The budget of k counts the DP
     states of layers 0..k and the fold states of k.  Raises
-    InvalidInputError for specs that `validate_specs` rejects or a
+    InvalidInputError for specs that `Assignment` rejects or a
     `state_budget` that is not an int >= 1, and ResourceExceededError above
     size MAX_RELATION_SIZE or past `state_budget`.
     """
-    validate_specs(specs)
-    n = specs[0].n
+    specs = _assignment(specs)
+    n = specs.n
     if n > MAX_RELATION_SIZE:
         raise ResourceExceededError(f"relation enumeration capped at size {MAX_RELATION_SIZE}")
-    keys = _integer_keys(specs)
-    last = n // 2 if _constraint_holds(keys) else n - 1
-    for k, pairs in _pairs_by_cardinality(keys, "relation search", state_budget, last):
+    last = n // 2 if specs.constraint_holds else n - 1
+    for k, pairs in _pairs_by_cardinality(specs.keys, "relation search", state_budget, last):
         for selections, _ in pairs:
             return RelationWitness(k, selections)
     return None
@@ -416,16 +458,16 @@ def relation_selection_count(
     is grown to layer `cardinality` and split in two sides; the count sums
     the folded side's number times the other side's over complementary
     values.  Raises InvalidInputError for specs
-    that `validate_specs` rejects, a cardinality outside 1..n-1 (bools
+    that `Assignment` rejects, a cardinality outside 1..n-1 (bools
     included) or a `state_budget` that is not an int >= 1, and
     ResourceExceededError past `state_budget`.
     """
-    validate_specs(specs)
-    n = specs[0].n
+    specs = _assignment(specs)
+    n = specs.n
     if isinstance(cardinality, bool) or not isinstance(cardinality, int) or not 1 <= cardinality < n:
         raise InvalidInputError(f"cardinality must be in 1..{n - 1}, got {cardinality!r}")
     budget = _StateBudget("relation counting", cardinality, state_budget)
-    pairs = _relation_pairs(_integer_keys(specs), [[] for _ in specs], cardinality, budget)
+    pairs = _relation_pairs(specs.keys, [[] for _ in specs], cardinality, budget)
     return sum(number for _, number in pairs)
 
 
@@ -436,13 +478,14 @@ def gcd_reduction(specs: Sequence[ClassSpec]) -> GcdReduction:
     divided by d is some d-th root of unity xi (the full product being 1);
     the reduced selection is a relation exactly when xi is non-primitive.
     In additive mode the reduced sum is automatically 0 and xi is absent.
+    Raises InvalidInputError for specs that `Assignment` rejects.
     """
-    mode = validate_specs(specs)
+    specs = _assignment(specs)
     mults = [m for s in specs for m in s.multiplicities()]
     d = 0
     for m in mults:
         d = math.gcd(d, m)
-    if mode == "additive" or d <= 1:
+    if specs.mode == "additive" or d <= 1:
         return GcdReduction(d, None, None)
     xi = MultiplicativeScalar.one()
     for spec in specs:
@@ -458,17 +501,17 @@ def check_generalized_beta(specs: Sequence[ClassSpec]) -> bool:
     rank of the shifted matrices, which amounts to maximizing the total Jordan
     block count over per-entry choices of one eigenvalue (or none) under the
     exact constraint; true iff the minimum is >= 2n.  Raises
-    InvalidInputError for specs that `validate_specs` rejects, and
+    InvalidInputError for specs that `Assignment` rejects, and
     ResourceExceededError when one entry's layer of the DP holds more than
     DEFAULT_STATE_BUDGET values.
     """
-    validate_specs(specs)
-    n = specs[0].n
+    specs = _assignment(specs)
+    n = specs.n
     max_blocks = [n - r_of(s.jnf) for s in specs]
     # dropping one entry frees the constraint; the rest pick their best slots
     best_proper = sum(max_blocks) - min(max_blocks)
     # full selection: one eigenvalue per entry, constrained product/sum
-    wrap, steps = _integer_keys(specs)
+    wrap, steps = specs.keys
     acc: dict = {0: 0}
     # after j entries the states are selections of k = j eigenvalue copies
     for k, (spec, entry_steps) in enumerate(zip(specs, steps), start=1):
@@ -560,13 +603,19 @@ def sample_generic(
     Free slot j of an entry with S slots lies in the middle half of cell j
     of S equal cells of [-3, 3) (values) or [0, 1) (arguments), so
     `_well_scaled` rejects only a badly placed solved slot; `max_retries`
-    bounds those redraws.  Raises InvalidInputError for an unknown mode, and
+    bounds those redraws.  Returns a plain list of `ClassSpec`s.  Raises
+    InvalidInputError for an unknown mode, a `tup` that is not a `JnfTuple`
+    or a `max_retries` that is not an int >= 1 (bools included), and
     SamplingExhaustedError at once for additive multiplicities with a common
     factor g > 1 (every assignment then has a relation), or when
     `max_retries` draws are all badly scaled.
     """
     if mode not in ("additive", "multiplicative"):
         raise InvalidInputError(f"unknown mode {mode!r}")
+    if not isinstance(tup, JnfTuple):
+        raise InvalidInputError(f"tup must be a JnfTuple, got {type(tup).__name__}")
+    if isinstance(max_retries, bool) or not isinstance(max_retries, int) or max_retries < 1:
+        raise InvalidInputError(f"max_retries must be an int >= 1, got {max_retries!r}")
     additive = mode == "additive"
     mults = [entry.multiplicities() for entry in tup.entries]
     g = math.gcd(*(m for row in mults for m in row))
@@ -617,11 +666,13 @@ def sample_generic(
 def exp_map(spec: ClassSpec) -> ClassSpec:
     """Map an additive class with real rational eigenvalues to modulus-1 scalars.
 
-    lambda goes to exp(2*pi*i*lambda); eigenvalues differing by integers
-    collide and are rejected, as are non-real eigenvalues (their image is not
-    exactly representable).
+    lambda goes to exp(2*pi*i*lambda).  Raises InvalidInputError for a
+    class that is not additive, UnsupportedScalarError for a non-real
+    eigenvalue (its image is not exactly representable), and
+    SlotCollisionError for two eigenvalues differing by an integer (their
+    images collide).
     """
-    if spec.mode != "additive":
+    if not isinstance(spec, ClassSpec) or spec.mode != "additive":
         raise InvalidInputError("exp_map expects an additive class")
     images = []
     for ev in spec.eigenvalues:

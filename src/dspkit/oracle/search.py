@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..errors import IllConditionedError, InvalidInputError
-from ..genericity import ClassSpec, validate_specs
+from ..genericity import ClassSpec, _assignment
 from . import gn_numpy, numeric
 from .numeric import burnside_dim, centralizer_nullity, class_membership, jordan_matrix
 
@@ -159,9 +159,9 @@ def realize(specs: Sequence[ClassSpec], budget: SearchBudget = SearchBudget()):
     wrong shape (ragged included) or with non-numeric or non-finite entries,
     and IllConditionedError when every restart ends above the condition cap.
     """
-    mode = validate_specs(specs)
-    multiplicative = mode == "multiplicative"
-    n = specs[0].n
+    specs = _assignment(specs)
+    multiplicative = specs.mode == "multiplicative"
+    n = specs.n
     m = len(specs)
     if n > MAX_SIZE:
         raise InvalidInputError(f"numerical search capped at size {MAX_SIZE}")

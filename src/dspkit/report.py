@@ -19,7 +19,7 @@ if TYPE_CHECKING:
     import numpy as np
 
     from .decide import DecisionReport, PsiTrace
-    from .genericity import ClassSpec
+    from .genericity import Assignment
 
 SCHEMA_VERSION = "1"
 
@@ -41,22 +41,24 @@ __all__ = [
 
 
 class ProblemInput:
-    """Parsed input: JNF tuple plus (optionally) full eigenvalue assignments."""
+    """Parsed input: JNF tuple plus (optionally) the full eigenvalue
+    assignment, one `Assignment` checked once.  The tuple is built first, so
+    its errors come before the eigenvalues' errors."""
 
     def __init__(self, mode: str, blocks: list, eigenvalues: list):
         self.mode = mode
         self.tuple = JnfTuple([Jnf(b) for b in blocks])
         if all(evs is not None for evs in eigenvalues):
-            from .genericity import ClassSpec
+            from .genericity import Assignment, ClassSpec
 
-            self.specs: Optional[list[ClassSpec]] = [
+            self.specs: Optional[Assignment] = Assignment(
                 ClassSpec(list(zip([Partition(p) for p in b], evs)), mode)
                 for b, evs in zip(blocks, eigenvalues)
-            ]
+            )
         else:
             self.specs = None
 
-    def require_specs(self, command: str) -> list[ClassSpec]:
+    def require_specs(self, command: str) -> Assignment:
         if self.specs is None:
             raise InvalidInputError(
                 f"command {command!r} requires an eigenvalue for every slot of every class"

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from dspkit.genericity import _grow_layers, _integer_keys, _StateBudget
+from dspkit.genericity import Assignment, _grow_layers, _StateBudget
 from dspkit.jnf import Jnf, JnfTuple
 from dspkit.scalars import AdditiveScalar, MultiplicativeScalar
 
@@ -228,7 +228,7 @@ def half_split_relations(specs):
     selections) of the smallest k, or None, by `half_split_pairs` on one DP
     grown across k, with no practical state budget; it never stops early at
     n/2."""
-    keys = _integer_keys(specs)
+    keys = Assignment(specs).keys
     per_entry = [[] for _ in specs]
     budget = _StateBudget("reference relation search", 0, 10**18)
     counts, witness = [], None

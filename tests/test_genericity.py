@@ -15,7 +15,9 @@ from dspkit.errors import (
     UnsupportedScalarError,
 )
 from dspkit.genericity import (
+    Assignment,
     ClassSpec,
+    _assignment,
     _relation_counts,
     _well_scaled,
     check_evs,
@@ -25,6 +27,8 @@ from dspkit.genericity import (
     gcd_reduction,
     relation_selection_count,
     sample_generic,
+    specs_tuple,
+    validate_specs,
 )
 from dspkit.classify import RigidFamily, rigid_family_tuple
 from dspkit.decide import check_conditions
@@ -921,3 +925,146 @@ class TestSymmetryProperties:
             for sp in specs
         ]
         assert find_relation(scaled) is None
+
+
+class TestAssignment:
+    """One checked value per problem: a tuple of ClassSpecs whose integer
+    keys are built once, on first read."""
+
+    def test_is_the_tuple_of_its_classes(self):
+        specs = example41(I_UNIT)
+        value = Assignment(specs)
+        assert isinstance(value, tuple) and value == tuple(specs)
+        assert value.mode == "multiplicative" and value.n == 4
+        assert value.jnfs == specs_tuple(specs)
+        assert _assignment(value) is value
+        assert validate_specs(value) == validate_specs(specs) == "multiplicative"
+
+    @pytest.mark.parametrize(
+        "specs, message",
+        [
+            ([1, 2], "classes must be ClassSpecs"),
+            (5, "classes must be an iterable"),
+            ([], "at least two entries"),
+            ([example41(ONE)[0]], "at least two entries"),
+            ([example41(ONE)[0], single_slot_specs("multiplicative", [[1]], [ONE])[0]],
+             r"all entries must share one size, got \[1, 4\]"),
+            ([example41(ONE)[0], single_slot_specs("additive", [[2, 2]], [AdditiveScalar(0)])[0]],
+             r"mixed modes: \['additive', 'multiplicative'\]"),
+        ],
+    )
+    def test_rejects_malformed_classes(self, specs, message):
+        for call in (Assignment, check_evs, find_relation, gcd_reduction,
+                     check_generalized_beta, validate_specs, lambda s: next(_relation_counts(s)),
+                     lambda s: relation_selection_count(s, 1)):
+            with pytest.raises(InvalidInputError, match=message):
+                call(specs)
+
+    @pytest.mark.parametrize("mode", ["additive", "multiplicative"])
+    def test_list_and_value_agree_on_sampled_rigid_rows(self, mode):
+        def results(specs):
+            n = specs[0].n
+            return (
+                validate_specs(specs),
+                specs_tuple(specs),
+                check_evs(specs),
+                find_relation(specs),
+                [relation_selection_count(specs, k) for k in (1, n // 2, n - 1)],
+                list(_relation_counts(specs)),
+                gcd_reduction(specs),
+                check_generalized_beta(specs),
+            )
+
+        rng = random.Random(5)
+        checked = 0
+        for tup in rigid_rows(8):
+            for specs in (sample_generic(tup, mode, seed=1), planted_specs(rng, tup, mode)):
+                if specs is None:
+                    continue
+                value = Assignment(specs)
+                assert results(specs) == results(value), (tup, mode)
+                checked += 1
+        assert checked >= 25
+
+
+def counting_integer_keys(monkeypatch):
+    """Replace `_integer_keys` with a wrapper that counts its calls."""
+    import dspkit.genericity as genericity
+
+    calls = []
+    real = genericity._integer_keys
+
+    def counted(specs):
+        calls.append(specs)
+        return real(specs)
+
+    monkeypatch.setattr(genericity, "_integer_keys", counted)
+    return calls
+
+
+class TestKeysBuiltOnce:
+    def test_cli_generic(self, monkeypatch, capsys):
+        from pathlib import Path
+
+        from dspkit.cli import main
+
+        calls = counting_integer_keys(monkeypatch)
+        fixture = Path(__file__).parent.parent / "fixtures" / "example41_generic.json"
+        assert main(["generic", str(fixture)]) == 0
+        assert '"generic": true' in capsys.readouterr().out
+        assert len(calls) == 1
+
+    def test_weak_verdict_kappa0(self, monkeypatch):
+        from dspkit.classify import weak_verdict_kappa0
+        from dspkit.decide import Verdict
+
+        calls = counting_integer_keys(monkeypatch)
+        assert weak_verdict_kappa0(example41(I_UNIT)) is Verdict.SOLVABLE
+        assert len(calls) == 1
+
+    def test_second_check_on_one_value(self, monkeypatch):
+        calls = counting_integer_keys(monkeypatch)
+        value = Assignment(example41(MINUS_ONE))
+        assert calls == []  # nothing is built before the first read
+        assert check_evs(value) and find_relation(value).cardinality == 2
+        assert len(calls) == 1
+        assert check_evs(value) and check_generalized_beta(value)
+        assert relation_selection_count(value, 2) == 1 and list(_relation_counts(value))
+        assert len(calls) == 1
+
+
+class TestMalformedClassSpec:
+    @pytest.mark.parametrize(
+        "slots",
+        [[1], 5, None, [(Partition([1]), AdditiveScalar(1), AdditiveScalar(2))], [(Partition([1]),)]],
+    )
+    def test_slots_that_are_not_pairs(self, slots):
+        with pytest.raises(InvalidInputError, match=r"class slots must be \(blocks, eigenvalue\) pairs"):
+            ClassSpec(slots, "additive")
+
+    def test_no_slot(self):
+        with pytest.raises(InvalidInputError, match="at least one eigenvalue slot"):
+            ClassSpec([], "additive")
+
+    def test_exp_map_of_a_non_class(self):
+        with pytest.raises(InvalidInputError, match="expects an additive class"):
+            exp_map([(Partition([1]), AdditiveScalar(0))])
+
+
+class TestSamplerArguments:
+    """`sample_generic` raises only what its docstring names."""
+
+    @pytest.mark.parametrize("tup", [[Jnf([[1], [1]])] * 3, None, "tuple"])
+    def test_tup_must_be_a_jnf_tuple(self, tup):
+        with pytest.raises(InvalidInputError, match="tup must be a JnfTuple"):
+            sample_generic(tup, "additive", seed=0)
+
+    @pytest.mark.parametrize("max_retries", ["3", 2.0, None, True, False, 0, -1])
+    def test_max_retries_must_be_an_int_at_least_one(self, max_retries):
+        tup = JnfTuple([Jnf([[1], [1]])] * 3)
+        with pytest.raises(InvalidInputError, match="max_retries must be an int >= 1, got "):
+            sample_generic(tup, "additive", seed=0, max_retries=max_retries)
+
+    def test_returns_a_plain_list(self):
+        specs = sample_generic(JnfTuple([Jnf([[1], [1]])] * 3), "multiplicative", seed=0, max_retries=1)
+        assert type(specs) is list and all(isinstance(s, ClassSpec) for s in specs)

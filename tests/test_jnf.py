@@ -173,7 +173,7 @@ class TestTrustedChildren:
                         continue
                     child = jnf._shrunk(slot, count)
                     assert_same_as_checked(child, Jnf(plain))
-                    # a child's own children start from its derived z
+                    # a child's own children are checked values too
                     child_raw = [s.parts for s in child.slots]
                     for i, s in enumerate(child.slots):
                         grand = shrink_plain(child_raw, i, s.num_parts)
