@@ -175,7 +175,7 @@ def _read_json(path) -> object:
             return json.load(fh)
     except OSError as exc:
         raise InvalidInputError(f"{path}: cannot read: {exc.strerror or exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise InvalidInputError(f"{path}: not valid JSON: {exc}") from exc
 
 
@@ -186,52 +186,40 @@ def _load_warm_start(path: str):
     return tuple(matrix_from_json(m) for m in data["conjugators"])
 
 
-def _realize_seed(args) -> int:
-    """DSPKIT_SEED when set, else --seed; it must be an integer in [0, 2**32)."""
-    name, seed = "--seed", args.seed
-    env_seed = os.environ.get("DSPKIT_SEED")
-    if env_seed is not None:
-        name = "DSPKIT_SEED"
-        try:
-            seed = int(env_seed)
-        except ValueError:
-            raise InvalidInputError(f"DSPKIT_SEED must be an integer, got {env_seed!r}") from None
-    if not 0 <= seed < 2**32:
-        raise InvalidInputError(f"{name} must be in [0, 2**32), got {seed}")
-    return seed
-
-
-def _check_budget_args(args) -> None:
-    """Reject worker counts and realize budgets with which nothing can run."""
-    if args.jobs < 1:
-        raise InvalidInputError(f"--jobs must be at least 1, got {args.jobs}")
-    if args.command == "realize":
-        for flag, value in (("--restarts", args.restarts), ("--iters", args.iters)):
-            if value < 1:
-                raise InvalidInputError(f"{flag} must be at least 1, got {value}")
-        if not args.tol > 0:
-            raise InvalidInputError(f"--tol must be positive, got {args.tol}")
-        _realize_seed(args)
-
-
-def _cmd_realize(problem, args) -> tuple[dict, int]:
-    specs = problem.require_specs("realize")
+def _realize_budget(args):
+    """The one SearchBudget of a realize run, from the flags, DSPKIT_SEED
+    (which overrides --seed) and the warm-start file.  SearchBudget holds the
+    rules; an error it raises names the flag or variable that set the field."""
     # One BLAS thread unless the caller chose a count, set before numpy loads:
     # with one per core, realize ran 10-20x slower next to a busy process.
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(var, "1")
-    from .oracle import SearchBudget, backend_name, realize
+    from .oracle import SearchBudget
 
-    seed = _realize_seed(args)
+    flags = {"restarts": "--restarts", "iters": "--iters", "residual_tol": "--tol",
+             "jobs": "--jobs", "seed": "--seed"}
+    seed = args.seed
+    env_seed = os.environ.get("DSPKIT_SEED")
+    if env_seed is not None:
+        flags["seed"] = "DSPKIT_SEED"
+        try:
+            seed = int(env_seed)
+        except ValueError:
+            raise InvalidInputError(f"DSPKIT_SEED must be an integer, got {env_seed!r}") from None
     warm = _load_warm_start(args.warm_start) if args.warm_start else None
-    budget = SearchBudget(
-        restarts=args.restarts,
-        iters=args.iters,
-        seed=seed,
-        residual_tol=args.tol,
-        jobs=args.jobs,
-        warm_start=warm,
-    )
+    try:
+        return SearchBudget(restarts=args.restarts, iters=args.iters, seed=seed,
+                            residual_tol=args.tol, jobs=args.jobs, warm_start=warm)
+    except InvalidInputError as exc:  # its messages open with the field name
+        field, _, rest = str(exc).partition(" ")
+        raise InvalidInputError(f"{flags.get(field, field)} {rest}") from None
+
+
+def _cmd_realize(problem, args) -> tuple[dict, int]:
+    from .oracle import backend_name, realize
+
+    specs = problem.require_specs("realize")
+    budget = args.budget
     report = base_report("realize", problem)
     report["provenance"] = _PROVENANCE["realize"]
     report["backend"] = backend_name()
@@ -306,7 +294,12 @@ def _dispatch(args) -> int:
         report, code = _cmd_enumerate(args)
         print(json.dumps(report))
         return code
-    _check_budget_args(args)
+    # checked for every command; realize's other flags are checked by its
+    # SearchBudget, which loads numpy
+    if args.jobs < 1:
+        raise InvalidInputError(f"--jobs must be at least 1, got {args.jobs}")
+    if args.command == "realize":
+        args.budget = _realize_budget(args)
     target = Path(args.input)
     if target.is_dir():
         files = sorted(target.glob("*.json"))
@@ -317,18 +310,9 @@ def _dispatch(args) -> int:
             try:
                 report, code = _run_one(args.command, path, args)
             except DspkitError as exc:
-                code = _code_of(exc)
-                message = str(exc)  # a read error already starts with the path
-                if not message.startswith(f"{path}: "):
-                    message = f"{path}: {message}"
-                print(message, file=sys.stderr)
-                if code == 3:
-                    payload = _not_applicable_report(args.command, exc)
-                    payload["input_path"] = str(path)
-                    print(json.dumps(payload))
-                worst = max(worst, code)
-                continue
-            print(json.dumps(report))
+                code = _report_failure(args.command, exc, path)
+            else:
+                print(json.dumps(report))
             worst = max(worst, code)
         return worst
     report, code = _run_one(args.command, target, args)
@@ -345,21 +329,32 @@ _NOT_APPLICABLE = (
 )
 
 
-def _code_of(exc: DspkitError) -> int:
-    return 3 if isinstance(exc, _NOT_APPLICABLE) else 2
-
-
-def _not_applicable_report(command: str, exc: DspkitError) -> dict:
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "verdict": "not_applicable",
-        "reason": str(exc),
-    }
-    requirement = getattr(exc, "requirement", None)
-    if requirement:
-        report["requirement"] = requirement
-    return report
+def _report_failure(command: str, exc: DspkitError, path=None) -> int:
+    """Print a failed run, or with `path` a failed problem of a batch, and
+    return its exit code: 3 with a not-applicable report on stdout, else 2.
+    The stderr line of a batch problem names its file once."""
+    message = str(exc)
+    if not isinstance(exc, _NOT_APPLICABLE):
+        code, prefix = 2, "error"
+    else:
+        code, prefix = 3, "not applicable"
+        report = {
+            "schema_version": SCHEMA_VERSION,
+            "command": command,
+            "verdict": "not_applicable",
+            "reason": message,
+        }
+        if getattr(exc, "requirement", None):
+            report["requirement"] = exc.requirement
+        if path is not None:
+            report["input_path"] = str(path)
+        print(json.dumps(report))
+    if path is None:
+        print(f"{prefix}: {message}", file=sys.stderr)
+    else:  # a read error already starts with the path
+        print(message if message.startswith(f"{path}: ") else f"{path}: {message}",
+              file=sys.stderr)
+    return code
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -403,13 +398,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except InvalidInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except _NOT_APPLICABLE as exc:
-        print(json.dumps(_not_applicable_report(args.command, exc)))
-        print(f"not applicable: {exc}", file=sys.stderr)
-        return 3
+    except DspkitError as exc:
+        return _report_failure(args.command, exc)
 
 
 if __name__ == "__main__":

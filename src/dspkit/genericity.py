@@ -36,7 +36,6 @@ __all__ = [
     "RelationWitness",
     "GcdReduction",
     "specs_tuple",
-    "validate_specs",
     "check_evs",
     "find_relation",
     "relation_selection_count",
@@ -175,11 +174,6 @@ class Assignment(tuple):
 def _assignment(specs: Sequence[ClassSpec]) -> Assignment:
     """`specs` itself when it is an `Assignment`, else one built from it."""
     return specs if isinstance(specs, Assignment) else Assignment(specs)
-
-
-def validate_specs(specs: Sequence[ClassSpec]) -> str:
-    """The mode of `specs`; raises InvalidInputError where `Assignment` does."""
-    return _assignment(specs).mode
 
 
 def specs_tuple(specs: Sequence[ClassSpec]) -> JnfTuple:

@@ -37,8 +37,9 @@ class SearchBudget:
     pass `operator.index` (numpy ints do, bools do not) and `residual_tol` is
     a real number other than a bool; when `restarts`, `iters` or `jobs` is
     below 1 or `residual_tol` is not positive (NaN included), so that no
-    search could run; or when `seed` lies outside [0, 2**32), which cannot
-    seed the restarts.
+    search could run; when `residual_tol` is infinite, with which any tuple
+    would certify; or when `seed` lies outside [0, 2**32), which cannot seed
+    the restarts.
     """
 
     restarts: int = 50
@@ -64,6 +65,8 @@ class SearchBudget:
             raise InvalidInputError(f"residual_tol must be a real number, got {tol!r}")
         if not tol > 0:
             raise InvalidInputError(f"residual_tol must be positive, got {tol}")
+        if tol == float("inf"):
+            raise InvalidInputError(f"residual_tol must be finite, got {tol}")
         if not 0 <= self.seed < 2**32:
             raise InvalidInputError(f"seed must be in [0, 2**32), got {self.seed}")
 

@@ -161,13 +161,16 @@ def _fraction(text: str, source: str) -> Fraction:
         return Fraction(text)
     except ZeroDivisionError:
         raise InvalidInputError(f"zero denominator in scalar {source!r}") from None
+    except ValueError as exc:  # a numeral over the int-string digit limit
+        raise InvalidInputError(f"cannot read scalar {source!r}: {exc}") from None
 
 
 def parse_scalar(text: str, mode: str) -> Scalar:
     """Parse the scalar text syntax for the given mode.
 
     Raises InvalidInputError for anything that is not a well-formed scalar
-    string of that mode, including non-strings and zero denominators.
+    string of that mode, including non-strings, zero denominators and
+    numerals longer than Python's int-string digit limit.
     """
     if not isinstance(text, str):
         raise InvalidInputError(f"a scalar must be a string, got {text!r}")

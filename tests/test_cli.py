@@ -52,6 +52,13 @@ class TestInvariants:
             ("additive", [1, 2], "must be a string"),
             ("additive", ["1/0", "-1/0"], "zero denominator"),
             ("multiplicative", ["{mod: 1, arg: 1/0}", "{mod: 1, arg: 0}"], "zero denominator"),
+            pytest.param(
+                "additive", ["1" * 5000, "0"], "Exceeds the limit", id="numeral-over-digit-limit",
+                marks=pytest.mark.skipif(
+                    not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000,
+                    reason="5000 digits are within this Python's int-string limit",
+                ),
+            ),
         ],
     )
     def test_bad_eigenvalue_exit2(self, capsys, tmp_path, mode, eigenvalues, message):
@@ -400,6 +407,7 @@ class TestRealize:
             ("--restarts", "0", "--restarts must be at least 1, got 0"),
             ("--iters", "-1", "--iters must be at least 1, got -1"),
             ("--tol", "-1", "--tol must be positive, got -1.0"),
+            ("--tol", "inf", "--tol must be finite, got inf"),
             ("--jobs", "-3", "--jobs must be at least 1, got -3"),
             ("--seed", "-1", "--seed must be in [0, 2**32), got -1"),
             ("--seed", str(2**32), f"--seed must be in [0, 2**32), got {2**32}"),
@@ -463,6 +471,68 @@ class TestRealize:
         assert captured.out == ""
         assert message in captured.err
         assert "Traceback" not in captured.err
+
+    def test_batch_builds_one_budget_and_reads_warm_start_once(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        import dspkit.cli
+        import dspkit.oracle
+
+        for name in ("a.json", "b.json"):
+            (tmp_path / name).write_text((FIXTURES / "strata_n2.json").read_text())
+        warm = str(FIXTURES / "s0_conjugators.json")
+        budgets, reads = [], []
+        real_budget, real_read = dspkit.oracle.SearchBudget, dspkit.cli._read_json
+
+        def budget(**fields):
+            budgets.append(fields)
+            return real_budget(**fields)
+
+        def read(path):
+            reads.append(str(path))
+            return real_read(path)
+
+        monkeypatch.setattr(dspkit.oracle, "SearchBudget", budget)
+        monkeypatch.setattr(dspkit.cli, "_read_json", read)
+        argv = ["realize", str(tmp_path), "--warm-start", warm, "--restarts", "1"]
+        code, reports = run(capsys, *argv)
+        assert code == 0
+        assert [r["centralizer_nullity"] for r in reports] == [2, 2]
+        assert len(budgets) == 1
+        assert reads.count(warm) == 1 and len(reads) == 3
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--restarts", "0"], "error: --restarts must be at least 1, got 0"),
+            (["--warm-start", "missing.json"],
+             "error: missing.json: cannot read: No such file or directory"),
+            (["--tol", "inf"], "error: --tol must be finite, got inf"),
+        ],
+    )
+    def test_batch_fails_once_before_reading_problems(
+        self, capsys, monkeypatch, tmp_path, flags, message
+    ):
+        import dspkit.cli
+
+        for name in ("a.json", "b.json"):
+            (tmp_path / name).write_text((FIXTURES / "strata_n2.json").read_text())
+        monkeypatch.chdir(tmp_path)
+        problems = []
+        real_read = dspkit.cli._read_json
+
+        def read(path):
+            if Path(path).parent == tmp_path:
+                problems.append(path)
+            return real_read(path)
+
+        monkeypatch.setattr(dspkit.cli, "_read_json", read)
+        code = main(["realize", str(tmp_path), *flags])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.splitlines() == [message]
+        assert problems == []
 
     @pytest.mark.parametrize("restarts", ["1", "2"])
     def test_singular_warm_start_skipped(self, capsys, tmp_path, restarts):
@@ -627,6 +697,26 @@ class TestRoundTripAndBatch:
             "in double quotes: line 1 column 2 (char 1)",
             f"{tmp_path / 'e.json'}: class 0: block sizes must be positive integers",
         ]
+
+
+    def test_deeply_nested_json_exit2(self, capsys, tmp_path):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000)
+        message = f"{deep}: not valid JSON: maximum recursion depth exceeded"
+        assert main(["decide", str(deep)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"error: {message}")
+        assert "Traceback" not in captured.err
+        # a batch reports the file and goes on
+        (tmp_path / "ok.json").write_text((FIXTURES / "hypergeometric_n2.json").read_text())
+        code, reports = run(capsys, "decide", str(tmp_path))
+        assert code == 2
+        assert [Path(r["input_path"]).name for r in reports] == ["ok.json"]
+        # so is a warm-start file
+        code = main(["realize", str(FIXTURES / "strata_n2.json"), "--warm-start", str(deep)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == "" and captured.err.startswith(f"error: {message}")
 
 
 def run_python(script: str, *args: str, env: dict) -> dict:

@@ -28,7 +28,6 @@ from dspkit.genericity import (
     relation_selection_count,
     sample_generic,
     specs_tuple,
-    validate_specs,
 )
 from dspkit.classify import RigidFamily, rigid_family_tuple
 from dspkit.decide import check_conditions
@@ -353,12 +352,13 @@ class TestConstraintOracle:
                 if other is not None:
                     assert check_evs(other) == fraction_check_evs(other) == holds, (case, seed)
 
-    def test_rejects_what_validate_specs_rejects(self):
+    def test_rejects_what_assignment_rejects(self):
         a = ClassSpec([(Partition([1]), AdditiveScalar(0))], "additive")
         b = ClassSpec([(Partition([1, 1]), AdditiveScalar(0))], "additive")
         for specs in ([a], [a, b]):
-            with pytest.raises(InvalidInputError):
-                check_evs(specs)
+            for call in (Assignment, check_evs):
+                with pytest.raises(InvalidInputError):
+                    call(specs)
 
 
 class TestRelationOracle:
@@ -938,7 +938,7 @@ class TestAssignment:
         assert value.mode == "multiplicative" and value.n == 4
         assert value.jnfs == specs_tuple(specs)
         assert _assignment(value) is value
-        assert validate_specs(value) == validate_specs(specs) == "multiplicative"
+        assert Assignment(value).mode == Assignment(specs).mode == "multiplicative"
 
     @pytest.mark.parametrize(
         "specs, message",
@@ -955,7 +955,7 @@ class TestAssignment:
     )
     def test_rejects_malformed_classes(self, specs, message):
         for call in (Assignment, check_evs, find_relation, gcd_reduction,
-                     check_generalized_beta, validate_specs, lambda s: next(_relation_counts(s)),
+                     check_generalized_beta, lambda s: next(_relation_counts(s)),
                      lambda s: relation_selection_count(s, 1)):
             with pytest.raises(InvalidInputError, match=message):
                 call(specs)
@@ -965,7 +965,7 @@ class TestAssignment:
         def results(specs):
             n = specs[0].n
             return (
-                validate_specs(specs),
+                Assignment(specs).mode,
                 specs_tuple(specs),
                 check_evs(specs),
                 find_relation(specs),

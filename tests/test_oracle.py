@@ -227,6 +227,7 @@ class TestRealize:
             ("restarts", 0, "restarts must be at least 1, got 0"),
             ("iters", 0, "iters must be at least 1, got 0"),
             ("residual_tol", float("nan"), "residual_tol must be positive, got nan"),
+            ("residual_tol", float("inf"), "residual_tol must be finite, got inf"),
             ("jobs", -5, "jobs must be at least 1, got -5"),
             ("seed", -1, "seed must be in [0, 2**32), got -1"),
             ("seed", 2**32, f"seed must be in [0, 2**32), got {2**32}"),

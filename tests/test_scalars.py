@@ -1,6 +1,7 @@
 """Exact scalar arithmetic and the text syntax."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -202,6 +203,26 @@ class TestTextSyntax:
     def test_rejects_zero_denominator(self, text, mode):
         with pytest.raises(InvalidInputError, match="zero denominator"):
             parse_scalar(text, mode)
+
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+        reason="this Python has no int-string digit limit",
+    )
+    @pytest.mark.parametrize(
+        "text, mode",
+        [
+            ("N", "additive"),
+            ("1/N", "additive"),
+            ("1+N i", "additive"),
+            ("N i", "additive"),
+            ("{mod: N, arg: 0}", "multiplicative"),
+            ("{mod: 1, arg: 1/N}", "multiplicative"),
+        ],
+    )
+    def test_rejects_numeral_over_digit_limit(self, text, mode):
+        digits = "1" * (sys.get_int_max_str_digits() + 1)
+        with pytest.raises(InvalidInputError, match="cannot read scalar .*Exceeds the limit"):
+            parse_scalar(text.replace("N", digits), mode)
 
     @pytest.mark.parametrize("value", [1, 1.5, None, ["1"]])
     def test_rejects_non_string(self, value):
