@@ -5,10 +5,10 @@ from every entry (respecting multiplicities) so that the selection sums to 0
 (additive) or multiplies to 1 (multiplicative).  Eigenvalues are generic when
 no such relation exists.  All tests here are exact; enumeration is done by
 dynamic programming over achievable partial values with a hard state budget,
-never by raw subset enumeration.  The DPs run on integer coordinates: each
-problem's eigenvalues are mapped once to exact integer keys whose sum is the
-key of the scalar sum (product), so a DP state is a plain int, never a
-Fraction-valued scalar.
+never by raw subset enumeration.  The DPs run on integer keys: each
+problem's eigenvalues are mapped once to one int mod M per slot, and the sum
+of keys mod M is the key of the scalar sum (product), so a DP state is a
+plain int, never a Fraction-valued scalar.
 """
 
 from __future__ import annotations
@@ -153,22 +153,16 @@ class Assignment(tuple):
 
     @_lazy
     def keys(self) -> tuple[int, list]:
-        """The exact integer keys of `_integer_keys`, built on first read."""
+        """M and one (key mod M, multiplicity) per slot, from
+        `_integer_keys`, built on first read."""
         return _integer_keys(self)
 
     @_lazy
     def constraint_holds(self) -> bool:
         """The global constraint, built on first read: whether the full
-        selection's key is 0."""
-        wrap, steps = self.keys
-        total = 0
-        for entry_steps in steps:
-            for copies in entry_steps:
-                step, low = copies[-1]
-                total += step
-                if low and total % wrap < low:
-                    total -= wrap
-        return total == 0
+        selection's key is 0 mod M."""
+        modulus, slots = self.keys
+        return sum(key * m for entry in slots for key, m in entry) % modulus == 0
 
 
 def _assignment(specs: Sequence[ClassSpec]) -> Assignment:
@@ -186,7 +180,7 @@ def check_evs(specs: Sequence[ClassSpec]) -> bool:
     """Whether the full eigenvalue product is 1 (resp. the full sum is 0).
 
     Evaluated on the exact integer keys of the relation DPs: the full
-    selection's key is 0 exactly when its value is.  Raises
+    selection's key is 0 mod M exactly when its value is 0 (resp. 1).  Raises
     InvalidInputError for specs that `Assignment` rejects.
     """
     return _assignment(specs).constraint_holds
@@ -221,36 +215,27 @@ def _valuation(x: int, b: int) -> int:
     return e
 
 
-def _integer_keys(specs: Assignment) -> tuple[int, list]:
-    """Exact integer keys for every value the relation DPs of `specs` reach.
+def _key_map(specs: Assignment):
+    """M, the keys mod M of the eigenvalues of `specs` (class by class, slot
+    by slot), and the map from any value of their mode to its key.
 
-    A key is `free * wrap + cyclic` with 0 <= cyclic < wrap.  Additively
-    wrap is 1, cyclic is 0 and free is re*W + im of the value scaled by L,
-    the lcm of all re/im denominators; W = 2B + 1, with B the bound on |im|
-    over any selection, keeps the packing injective.  Multiplicatively
-    cyclic is arg*wrap, wrap the lcm of the arg denominators, and free packs
-    the modulus's exponent vector over a coprime base of the moduli's
-    numerators and denominators in the same balanced mixed radix.
-
-    The sum of two keys, less wrap when its low digit carries below the
-    addend's (`nv % wrap < low`), is the key of the scalar sum (product), and
-    -k, plus wrap when k % wrap, is the key of the negative (inverse).  The
-    map is injective on every selection of eigenvalue copies and on its
-    inverse, so a dict keyed by it sees the hits and misses of one keyed by
-    the scalars, in the same order.
-
-    Returns wrap and, for each class and slot, the (key, key % wrap) of
-    c copies of the slot's eigenvalue for c = 0..m.
+    A value's coordinates are, additively, re and im scaled by L, the lcm of
+    all re/im denominators, and multiplicatively the modulus's exponents over
+    a coprime base of the moduli's numerators and denominators.  They are
+    packed in one balanced mixed radix of span F, each digit of width
+    2 B + 1 for B the sum of m |coordinate| over every slot, so every
+    selection of eigenvalue copies and its inverse packs to a distinct
+    integer of |x| <= (F - 1)/2.  The argument, scaled to an int arg*wrap
+    by wrap, the lcm of its denominators (wrap is 1 additively), is the
+    digit above: key = (packed + arg*wrap * F) mod M with M = wrap * F.
     """
     pairs = [(ev, m) for s in specs for ev, m in zip(s.eigenvalues, s.multiplicities())]
     if specs.mode == "additive":
         wrap = 1
         scale = math.lcm(*(x.denominator for ev, _ in pairs for x in (ev.re, ev.im)))
-        bound = sum(m * abs(ev.im.numerator) * (scale // ev.im.denominator) for ev, m in pairs)
 
         def coordinates(ev):
-            re = ev.re.numerator * (scale // ev.re.denominator)
-            return re * (2 * bound + 1) + ev.im.numerator * (scale // ev.im.denominator), 0
+            return [x.numerator * (scale // x.denominator) for x in (ev.re, ev.im)], 0
 
     else:
         wrap = math.lcm(*(ev.arg.denominator for ev, _ in pairs))
@@ -258,31 +243,39 @@ def _integer_keys(specs: Assignment) -> tuple[int, list]:
             x for ev, _ in pairs for x in (ev.modulus.numerator, ev.modulus.denominator)
         )
 
-        def exponents(ev):
-            q = ev.modulus
-            return [_valuation(q.numerator, b) - _valuation(q.denominator, b) for b in base]
-
-        bounds = [0] * len(base)
-        for ev, m in pairs:
-            bounds = [bd + m * abs(e) for bd, e in zip(bounds, exponents(ev))]
-
         def coordinates(ev):
-            free, place = 0, 1
-            for e, bd in zip(exponents(ev), bounds):
-                free += e * place
-                place *= 2 * bd + 1
-            return free, ev.arg.numerator * (wrap // ev.arg.denominator)
+            q = ev.modulus
+            exponents = [_valuation(q.numerator, b) - _valuation(q.denominator, b) for b in base]
+            return exponents, ev.arg.numerator * (wrap // ev.arg.denominator)
 
-    steps = []
-    for spec in specs:
-        per_slot = []
-        for ev, m in zip(spec.eigenvalues, spec.multiplicities()):
-            free, cyclic = coordinates(ev)
-            per_slot.append(
-                [(c * free * wrap + c * cyclic % wrap, c * cyclic % wrap) for c in range(m + 1)]
-            )
-        steps.append(per_slot)
-    return wrap, steps
+    vectors = [coordinates(ev) for ev, _ in pairs]
+    places, span = [], 1
+    # by index: zip(*vectors) would leave slot-count-long column tuples in
+    # CPython's tuple free list, which raised peak RSS by 0.8 MB on `relations`
+    for i in range(len(vectors[0][0])):
+        places.append(span)
+        span *= 2 * sum(m * abs(free[i]) for (free, _), (_, m) in zip(vectors, pairs)) + 1
+    modulus = wrap * span
+
+    def pack(free, arg) -> int:
+        return (sum(x * place for x, place in zip(free, places)) + arg * span) % modulus
+
+    return modulus, [pack(*vector) for vector in vectors], lambda ev: pack(*coordinates(ev))
+
+
+def _integer_keys(specs: Assignment) -> tuple[int, list]:
+    """M and, for each class and slot, the (key, multiplicity) of the slot's
+    eigenvalue, with the keys of `_key_map`.
+
+    The key of a sum (product) is the sum of the keys mod M, the key of c
+    copies is c * key mod M and that of the negative (inverse) -key mod M.
+    The map is injective on every selection of eigenvalue copies and on its
+    inverse, so a dict keyed by it sees the hits and misses of one keyed by
+    the scalars, in the same order.
+    """
+    modulus, keys, _ = _key_map(specs)
+    keys = iter(keys)
+    return modulus, [[(next(keys), m) for m in spec.multiplicities()] for spec in specs]
 
 
 class _StateBudget:
@@ -305,25 +298,24 @@ class _StateBudget:
             )
 
 
-def _grow_layers(wrap: int, steps: list, layers: list, k: int, budget: _StateBudget) -> None:
+def _grow_layers(modulus: int, slots: list, layers: list, k: int, budget: _StateBudget) -> None:
     """Grow one entry's selection DP up to cardinality layer k.
 
-    `steps` holds the entry's slot keys from `_integer_keys`.  layers[t][s]
-    maps the key of each value reachable with t eigenvalue copies from the
-    first s slots to [its first selection counts, its number of selections].
-    Layer t at slot s+1 adds t - u copies to layer u at slot s, u ascending,
-    so first selections do not depend on how far the DP is grown.
+    `slots` holds the entry's (key, multiplicity) pairs from `_integer_keys`
+    and `modulus` their M.  layers[t][s] maps the key of each value
+    reachable with t eigenvalue copies from the first s slots to [its first
+    selection counts, its number of selections].  Layer t at slot s+1 adds
+    t - u copies, whose key is (t - u) * key mod M, to layer u at slot s, u
+    ascending, so first selections do not depend on how far the DP is grown.
     """
     for t in range(len(layers), k + 1):
         layers.append([{0: [(), 1]} if t == 0 else {}])
-        for s, copies in enumerate(steps):
+        for s, (key, m) in enumerate(slots):
             stage: dict = {}
-            for u in range(max(0, t - len(copies) + 1), t + 1):
-                step, low = copies[t - u]
+            for u in range(max(0, t - m), t + 1):
+                step = (t - u) * key % modulus
                 for value, (selection, number) in layers[u][s].items():
-                    nv = value + step
-                    if low and nv % wrap < low:
-                        nv -= wrap
+                    nv = (value + step) % modulus
                     hit = stage.get(nv)
                     if hit is None:
                         budget.take()
@@ -333,18 +325,16 @@ def _grow_layers(wrap: int, steps: list, layers: list, k: int, budget: _StateBud
             layers[t].append(stage)
 
 
-def _fold(wrap: int, layers: list, budget: _StateBudget) -> dict:
+def _fold(modulus: int, layers: list, budget: _StateBudget) -> dict:
     """Fold the given layer dicts: map each value of one pick from every dict
     to [the picks' selections, the number of selections]."""
     acc = {0: [(), 1]}
     for layer in layers:
-        row = [(v2, v2 % wrap, w2, c2) for v2, (w2, c2) in layer.items()]
+        row = [(v2, w2, c2) for v2, (w2, c2) in layer.items()]
         new_acc: dict = {}
         for v1, (w1, c1) in acc.items():
-            for v2, low, w2, c2 in row:
-                nv = v1 + v2
-                if low and nv % wrap < low:
-                    nv -= wrap
+            for v2, w2, c2 in row:
+                nv = (v1 + v2) % modulus
                 hit = new_acc.get(nv)
                 if hit is None:
                     budget.take()
@@ -367,9 +357,9 @@ def _relation_pairs(keys: tuple[int, list], per_entry: list, k: int, budget: _St
     entry only, in that entry's layer-k dict, which is never folded.  The
     number is the folded side's times the lookup's.
     """
-    wrap, steps = keys
-    for entry_steps, layers in zip(steps, per_entry):
-        _grow_layers(wrap, entry_steps, layers, k, budget)
+    modulus, slots = keys
+    for entry_slots, layers in zip(slots, per_entry):
+        _grow_layers(modulus, entry_slots, layers, k, budget)
     sizes = [len(layers[k][-1]) for layers in per_entry]
     order = sorted(range(len(sizes)), key=lambda e: -sizes[e])
     sides: tuple[list, list] = ([order[0]], [])
@@ -383,11 +373,11 @@ def _relation_pairs(keys: tuple[int, list], per_entry: list, k: int, budget: _St
     if single:
         lookup = per_entry[looked_up[0]][k][-1]
     else:
-        lookup = _fold(wrap, [per_entry[e][k][-1] for e in looked_up], budget)
-    fold = _fold(wrap, [per_entry[e][k][-1] for e in folded], budget)
+        lookup = _fold(modulus, [per_entry[e][k][-1] for e in looked_up], budget)
+    fold = _fold(modulus, [per_entry[e][k][-1] for e in folded], budget)
     placed = folded + looked_up
     for value, (selections, number) in fold.items():
-        hit = lookup.get(wrap - value if value % wrap else -value)
+        hit = lookup.get(-value % modulus)
         if hit is not None:
             by_entry = dict(zip(placed, selections + ((hit[0],) if single else hit[0])))
             yield tuple(by_entry[e] for e in range(len(per_entry))), number * hit[1]
@@ -505,20 +495,16 @@ def check_generalized_beta(specs: Sequence[ClassSpec]) -> bool:
     # dropping one entry frees the constraint; the rest pick their best slots
     best_proper = sum(max_blocks) - min(max_blocks)
     # full selection: one eigenvalue per entry, constrained product/sum
-    wrap, steps = specs.keys
+    modulus, slots = specs.keys
     acc: dict = {0: 0}
     # after j entries the states are selections of k = j eigenvalue copies
-    for k, (spec, entry_steps) in enumerate(zip(specs, steps), start=1):
-        options = [
-            (copies[1], slot.num_parts) for copies, slot in zip(entry_steps, spec.jnf.slots)
-        ]
+    for k, (spec, entry_slots) in enumerate(zip(specs, slots), start=1):
+        options = [(key, slot.num_parts) for (key, _), slot in zip(entry_slots, spec.jnf.slots)]
         budget = _StateBudget("generalized rank condition", k, DEFAULT_STATE_BUDGET)
         new_acc: dict = {}
         for value, blocks in acc.items():
-            for (step, low), b in options:
-                nv = value + step
-                if low and nv % wrap < low:
-                    nv -= wrap
+            for key, b in options:
+                nv = (value + key) % modulus
                 got = blocks + b
                 old = new_acc.get(nv)
                 if old is None:
@@ -622,14 +608,14 @@ def sample_generic(
     solved = max(slots, key=lambda slot: mults[slot[0]][slot[1]])
     m_solved = mults[solved[0]][solved[1]]
     shifts = [0] if additive else [s for s in range(m_solved) if math.gcd(s, g) == 1]
-    low, width = (-3, 6) if additive else (0, 1)
+    origin, width = (-3, 6) if additive else (0, 1)
     free = []  # entry, slot, prime and numerator range of every slot but the solved one
     others = [slot for slot in slots if slot != solved]
     for (e, j), p in zip(others, _primes_above(tup.n**2, len(others))):
         cells = 4 * len(mults[e])
         # the middle half of cell j runs from lo / cells to hi / cells; its
         # numerators over p start at ceil(lo p / cells) and stop before ceil(hi p / cells)
-        lo, hi = (low * cells + width * t for t in (4 * j + 1, 4 * j + 3))
+        lo, hi = (origin * cells + width * t for t in (4 * j + 1, 4 * j + 3))
         free.append((e, j, p, -(-lo * p // cells), -(-hi * p // cells)))
     common = math.prod(p for _, _, p, _, _ in free)
     rng = random.Random(seed)

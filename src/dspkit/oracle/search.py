@@ -38,8 +38,9 @@ class SearchBudget:
     a real number other than a bool; when `restarts`, `iters` or `jobs` is
     below 1 or `residual_tol` is not positive (NaN included), so that no
     search could run; when `residual_tol` is infinite, with which any tuple
-    would certify; or when `seed` lies outside [0, 2**32), which cannot seed
-    the restarts.
+    would certify, or above `numeric.EIG_TOL`, with which a tuple whose
+    residual is far from 0 certifies; or when `seed` lies outside [0, 2**32),
+    which cannot seed the restarts.
     """
 
     restarts: int = 50
@@ -67,6 +68,8 @@ class SearchBudget:
             raise InvalidInputError(f"residual_tol must be positive, got {tol}")
         if tol == float("inf"):
             raise InvalidInputError(f"residual_tol must be finite, got {tol}")
+        if tol > numeric.EIG_TOL:
+            raise InvalidInputError(f"residual_tol must be at most {numeric.EIG_TOL}, got {tol}")
         if not 0 <= self.seed < 2**32:
             raise InvalidInputError(f"seed must be in [0, 2**32), got {self.seed}")
 

@@ -193,21 +193,19 @@ def half_split_pairs(keys, per_entry, k, budget):
     every entry's DP to layer k, fold layer k over each half of the entries
     (split at len // 2), and yield the [selections, number] of each left
     value together with that of its complement on the right."""
-    wrap, steps = keys
-    for entry_steps, layers in zip(steps, per_entry):
-        _grow_layers(wrap, entry_steps, layers, k, budget)
+    modulus, slots = keys
+    for entry_slots, layers in zip(slots, per_entry):
+        _grow_layers(modulus, entry_slots, layers, k, budget)
     half = len(per_entry) // 2
     folds = []
     for part in (per_entry[:half], per_entry[half:]):
         acc = {0: [(), 1]}
         for layers in part:
-            row = [(v2, v2 % wrap, w2, c2) for v2, (w2, c2) in layers[k][-1].items()]
+            row = list(layers[k][-1].items())
             new_acc: dict = {}
             for v1, (w1, c1) in acc.items():
-                for v2, low, w2, c2 in row:
-                    nv = v1 + v2
-                    if low and nv % wrap < low:
-                        nv -= wrap
+                for v2, (w2, c2) in row:
+                    nv = (v1 + v2) % modulus
                     hit = new_acc.get(nv)
                     if hit is None:
                         budget.take()
@@ -218,7 +216,7 @@ def half_split_pairs(keys, per_entry, k, budget):
         folds.append(acc)
     left, right = folds
     for value, entry in left.items():
-        hit = right.get(wrap - value if value % wrap else -value)
+        hit = right.get(-value % modulus)
         if hit is not None:
             yield entry, hit
 

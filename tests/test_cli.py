@@ -218,6 +218,19 @@ class TestGeneric:
         assert code == 3
         assert report["relation"]["status"] == "resource_exceeded"
 
+    def test_blocks_of_size_a_million_exit3(self, capsys, tmp_path):
+        # the keys take one int per slot, so only the size cap stops this
+        problem = {"mode": "additive", "classes": [
+            {"blocks": [[10**6]], "eigenvalues": ["1/3"]},
+            {"blocks": [[10**6]], "eigenvalues": ["-1/3"]},
+        ]}
+        path = tmp_path / "million.json"
+        path.write_text(json.dumps(problem))
+        code, (report,) = run(capsys, "generic", str(path))
+        assert code == 3
+        assert report["evs_ok"] is True
+        assert report["relation"]["status"] == "resource_exceeded"
+
     @pytest.mark.parametrize("n, generic", [(12, True), (14, True), (16, False)])
     def test_sampled_hypergeometric_rows(self, capsys, tmp_path, n, generic):
         # the relation search looks complements up in the largest of the
@@ -408,6 +421,7 @@ class TestRealize:
             ("--iters", "-1", "--iters must be at least 1, got -1"),
             ("--tol", "-1", "--tol must be positive, got -1.0"),
             ("--tol", "inf", "--tol must be finite, got inf"),
+            ("--tol", "1e300", "--tol must be at most 1e-06, got 1e+300"),
             ("--jobs", "-3", "--jobs must be at least 1, got -3"),
             ("--seed", "-1", "--seed must be in [0, 2**32), got -1"),
             ("--seed", str(2**32), f"--seed must be in [0, 2**32), got {2**32}"),
@@ -419,6 +433,12 @@ class TestRealize:
         assert code == 2
         assert captured.out == ""
         assert message in captured.err
+
+    def test_tol_at_the_eigenvalue_tolerance_accepted(self, capsys):
+        code, (report,) = run(capsys, "realize", str(FIXTURES / "pair_n2.json"),
+                              "--tol", "1e-6", "--restarts", "1", "--iters", "1")
+        assert code == 0
+        assert report["budget"]["residual_tol"] == 1e-6
 
     @pytest.mark.parametrize(
         "env_seed, message",

@@ -1,6 +1,7 @@
 """Eigenvalue constraints, non-genericity relations, gcd reduction, sampler."""
 
 import functools
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -18,6 +19,8 @@ from dspkit.genericity import (
     Assignment,
     ClassSpec,
     _assignment,
+    _integer_keys,
+    _key_map,
     _relation_counts,
     _well_scaled,
     check_evs,
@@ -359,6 +362,68 @@ class TestConstraintOracle:
             for call in (Assignment, check_evs):
                 with pytest.raises(InvalidInputError):
                     call(specs)
+
+
+ENCODING_CASES = ["nonreal", "shared_moduli", "large_primes_additive",
+                  "large_primes_multiplicative", "negative_keys"]
+
+
+def fraction_value(pairs, counts, mode):
+    """The value of `counts[i]` copies of each eigenvalue of `pairs`, summed
+    (multiplied) on the scalars' components in plain Fractions, as a scalar."""
+    picked = [(ev, c) for (ev, _), c in zip(pairs, counts)]
+    if mode == "additive":
+        return AdditiveScalar(sum((Fraction(ev.re) * c for ev, c in picked), Fraction(0)),
+                              sum((Fraction(ev.im) * c for ev, c in picked), Fraction(0)))
+    return MultiplicativeScalar(math.prod(Fraction(ev.modulus) ** c for ev, c in picked),
+                                sum(Fraction(ev.arg) * c for ev, c in picked) % 1)
+
+
+class TestKeyMap:
+    """The DPs' keys on every partial selection and its inverse, against
+    Fraction sums: the selections of the DP states, not only the full ones
+    of a relation."""
+
+    @pytest.mark.parametrize("case", ENCODING_CASES)
+    def test_every_sub_selection(self, case):
+        for seed in range(60):
+            specs = Assignment(encoding_specs(random.Random(seed), case))
+            modulus, keys, key_of = _key_map(specs)
+            pairs = [(ev, m) for s in specs for ev, m in zip(s.eigenvalues, s.multiplicities())]
+            assert keys == [key_of(ev) for ev, _ in pairs]
+            got_modulus, slots = _integer_keys(specs)
+            assert got_modulus == modulus
+            assert [pair for entry in slots for pair in entry] == [
+                (key, m) for key, (_, m) in zip(keys, pairs)
+            ]
+            by_key = {}
+            for counts in itertools.product(*(range(m + 1) for _, m in pairs)):
+                key = sum(c * k % modulus for c, k in zip(counts, keys)) % modulus
+                value = fraction_value(pairs, counts, specs.mode)
+                inverse = -value if specs.mode == "additive" else value.inverse()
+                assert key == key_of(value), (case, seed, counts)
+                assert -key % modulus == key_of(inverse), (case, seed, counts)
+                # selections and inverses share a key exactly when their values are equal
+                assert by_key.setdefault(key, value) == value, (case, seed, counts)
+                assert by_key.setdefault(-key % modulus, inverse) == inverse, (case, seed, counts)
+            assert len(set(by_key.values())) == len(by_key)
+
+
+class TestKeyMemory:
+    """Keys take one int per slot, not one per copy."""
+
+    def test_check_evs_on_blocks_of_size_a_million(self):
+        import tracemalloc
+
+        specs = [ClassSpec([(Partition([10**6]), AdditiveScalar(Fraction(x, 3)))], "additive")
+                 for x in (1, -1)]
+        tracemalloc.start()
+        try:
+            assert check_evs(specs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestRelationOracle:

@@ -228,6 +228,7 @@ class TestRealize:
             ("iters", 0, "iters must be at least 1, got 0"),
             ("residual_tol", float("nan"), "residual_tol must be positive, got nan"),
             ("residual_tol", float("inf"), "residual_tol must be finite, got inf"),
+            ("residual_tol", 1e300, "residual_tol must be at most 1e-06, got 1e+300"),
             ("jobs", -5, "jobs must be at least 1, got -5"),
             ("seed", -1, "seed must be in [0, 2**32), got -1"),
             ("seed", 2**32, f"seed must be in [0, 2**32), got {2**32}"),
@@ -246,6 +247,9 @@ class TestRealize:
     def test_budget_with_which_nothing_runs_rejected(self, field, value, message):
         with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
             SearchBudget(**{field: value})
+
+    def test_tolerance_at_the_eigenvalue_tolerance_accepted(self):
+        assert SearchBudget(residual_tol=1e-6).residual_tol == numeric.EIG_TOL == 1e-6
 
     def test_numpy_integers_accepted(self):
         plain = realize(strata_specs(), SearchBudget(restarts=2, iters=60, seed=3))
