@@ -143,20 +143,16 @@ class DecisionReport:
 
 
 def maximizer_slots(jnf: Jnf) -> list[int]:
-    """Canonical slot indices attaining the maximal Jordan-block count."""
-    top = jnf.max_blocks
-    return [i for i, s in enumerate(jnf.slots) if s.num_parts == top]
+    """Canonical slot indices attaining the maximal Jordan-block count, as a
+    fresh list (the value keeps its own tuple, `Jnf.maximizers`)."""
+    return list(jnf.maximizers)
 
 
 def default_choice(jnf: Jnf) -> int:
     """Deterministic tie-break: maximal block count, then largest slot total,
-    then lowest canonical slot index."""
-    top = jnf.max_blocks
-    best, best_total = -1, 0
-    for i, s in enumerate(jnf.slots):
-        if s.num_parts == top and s.total > best_total:
-            best, best_total = i, s.total
-    return best
+    then lowest canonical slot index (stored on the value as
+    `Jnf.default_slot`)."""
+    return jnf.default_slot
 
 
 # enum members read through the class cost ~10x a global on 3.11; the sweeps
@@ -196,7 +192,9 @@ class ReductionEngine:
     Every distinct `Jnf` the engine meets gets one small int id.  Per id it
     keeps the Jnf (`jnfs`), its `r` and `d` and, computed on first use, its
     child per (slot, shrink count) and the children over the distinct
-    maximizer slots per shrink count.  A state is a sequence of ids of one
+    maximizer slots per shrink count; that last row is allocated the first
+    time `choices` runs for the id, so engines that never call it (the
+    shared one) hold none.  A state is a sequence of ids of one
     size, one per entry.  Every table, the verdict memo included, lives as
     long as the engine and grows with it; an engine is not safe to share
     between threads, since `intern` reads the next id before it stores it.
@@ -213,7 +211,7 @@ class ReductionEngine:
         self.d: list[int] = []
         # id -> [shrink count] -> choices(id, count), None until first use;
         # beta keeps the count within the entry's largest block count
-        self._kids: list[list[Optional[tuple[int, ...]]]] = []
+        self._kids: dict[int, list[Optional[tuple[int, ...]]]] = {}
         self._children: dict[tuple[int, int, int], int] = {}
         self._verdicts: dict[tuple[int, ...], Verdict] = {}
 
@@ -225,7 +223,6 @@ class ReductionEngine:
             self.jnfs.append(jnf)
             self.r.append(jnf.r)
             self.d.append(jnf.d)
-            self._kids.append([None] * (jnf.max_blocks + 1))
         return got
 
     def state(self, tup: JnfTuple) -> list[int]:
@@ -258,12 +255,14 @@ class ReductionEngine:
     def choices(self, e: int, count: int) -> tuple[int, ...]:
         """The children of entry `e` at one shrink count over every maximizer
         slot, one per distinct slot partition (equal slots, equal children)."""
-        row = self._kids[e]
+        row = self._kids.get(e)
+        if row is None:
+            row = self._kids[e] = [None] * (self.jnfs[e].max_blocks + 1)
         got = row[count]
         if got is None:
             jnf = self.jnfs[e]
             firsts: dict[Partition, int] = {}
-            for i in maximizer_slots(jnf):
+            for i in jnf.maximizers:
                 firsts.setdefault(jnf.slots[i], i)
             got = row[count] = tuple(self.child(e, i, count) for i in firsts.values())
         return got
@@ -283,7 +282,8 @@ class ReductionEngine:
         kids = self._kids
         options = []
         for e in state:
-            got = kids[e][count]
+            row = kids.get(e)
+            got = None if row is None else row[count]
             options.append(self.choices(e, count) if got is None else got)
         memo = self._verdicts
         verdict = None
@@ -315,7 +315,7 @@ class ReductionEngine:
             count = self.gate(state)
             if isinstance(count, TerminationReason):
                 return states, chosen_slots, count
-            chosen = tuple([default_choice(jnfs[e]) for e in state])
+            chosen = tuple([jnfs[e].default_slot for e in state])
             chosen_slots.append(chosen)
             state = [self.child(e, c, count) for e, c in zip(state, chosen)]
             states.append(state)
@@ -336,8 +336,8 @@ class ReductionEngine:
 
 # Ids one thread's shared engine may hold before `_engine` replaces it.  An
 # id costs about 0.56 KB (its Jnf, children and table rows) on tuples with
-# n <= 5 and about 1.75 KB on random tuples with n <= 12, so a full engine
-# holds 2.3-7.2 MB; deciding and sweeping all 5,552 reduction-defined tuples
+# n <= 5 and about 1.7 KB on random tuples with n <= 12, so a full engine
+# holds 2.3-6.9 MB; deciding and sweeping all 5,552 reduction-defined tuples
 # with n <= 5 and 800 random ones meets about 1,000 distinct JNFs.
 _ENGINE_CAP = 4096
 _local = threading.local()
@@ -375,7 +375,7 @@ def psi_step(tup: JnfTuple, choice: Optional[Sequence[int]] = None) -> JnfTuple:
         )
     entries = tup.entries
     if choice is None:
-        chosen = [default_choice(e) for e in entries]
+        chosen = [e.default_slot for e in entries]
     else:
         try:
             chosen = list(choice)

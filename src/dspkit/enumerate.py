@@ -39,9 +39,18 @@ def all_partitions(n: int) -> tuple[Partition, ...]:
     return tuple(Partition(p) for p in partitions(n))
 
 
+def _check_size(n) -> None:
+    if n.__class__ is not int or n < 1:
+        raise InvalidInputError(f"a JNF needs size n >= 1, got {n!r}")
+
+
 @lru_cache(maxsize=None)
 def all_jnfs(n: int) -> tuple[Jnf, ...]:
-    """Every JNF of size n: multisets of partitions with total n."""
+    """Every JNF of size n: multisets of partitions with total n.
+
+    Raises InvalidInputError when n is not an int (bools included) or n < 1.
+    """
+    _check_size(n)
     pool = sorted(
         (p for total in range(1, n + 1) for p in all_partitions(total)),
         key=lambda p: p.parts,
@@ -67,7 +76,11 @@ def all_jnfs(n: int) -> tuple[Jnf, ...]:
 
 
 def diagonal_jnfs(n: int) -> tuple[Jnf, ...]:
-    """Diagonal JNFs of size n, one per multiplicity vector (partition of n)."""
+    """Diagonal JNFs of size n, one per multiplicity vector (partition of n).
+
+    Raises InvalidInputError when n is not an int (bools included) or n < 1.
+    """
+    _check_size(n)
     return tuple(
         Jnf([Partition((1,) * m) for m in mv]) for mv in partitions(n)
     )
@@ -81,7 +94,10 @@ def diagonal_tuples(n: int, p: int) -> Iterator[JnfTuple]:
 
 def enumerate_rigid_diagonal(n: int, p: int) -> list[JnfTuple]:
     """Deduplicated diagonal tuples with rigidity index 2 passing the generic
-    criterion (canonical entry order from the Jnf ordering)."""
+    criterion (canonical entry order from the Jnf ordering).
+
+    Raises InvalidInputError when n is not an int (bools included) or n < 1.
+    """
     from .classify import is_good
 
     out = []
@@ -95,10 +111,10 @@ def random_jnf(n: int, rng: random.Random, max_blocks: Optional[int] = None) -> 
     """Random JNF of size n; max_blocks, when given, pins the largest slot
     block count (hence r = n - max_blocks).
 
-    Raises InvalidInputError when n < 1 or max_blocks is outside 1..n.
+    Raises InvalidInputError when n is not an int (bools included), n < 1 or
+    max_blocks is outside 1..n.
     """
-    if n < 1:
-        raise InvalidInputError(f"a JNF needs size n >= 1, got {n}")
+    _check_size(n)
     if max_blocks is not None and not 1 <= max_blocks <= n:
         raise InvalidInputError(f"max_blocks must be in 1..{n}, got {max_blocks}")
     if max_blocks is None:

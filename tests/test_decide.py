@@ -426,6 +426,28 @@ class TestSharedEngine:
         assert _engine_results(engine_population) == fresh_engine_results
         assert decide._engine() is engine
 
+    def test_choice_rows_only_where_choices_ran(self):
+        """The shared engine never calls `choices`, so it holds no choice
+        rows; an engine that runs `verdict` holds one per id it chose from."""
+        tups = [HYPER2, ODD3, EXTRA6, JnfTuple([((2,), (1,), (1,)), ((3,), (1,)), ((2, 1, 1),)])]
+        for tup in tups:
+            decide_generic(tup)
+            is_good(tup)
+            for choice in itertools.product(*[maximizer_slots(e) for e in tup.entries]):
+                psi_step(tup, choice)
+        assert len(decide._engine().jnfs) > 10 and decide._engine()._kids == {}
+        engine = ReductionEngine()
+        for tup in tups:
+            engine.trace(tup)
+        assert engine._kids == {}
+        for tup in tups:
+            assert engine.verdict(engine.state(tup)) is Verdict.SOLVABLE
+        rows = engine._kids
+        assert rows and set(rows) < set(range(len(engine.jnfs)))
+        for e, row in rows.items():
+            assert len(row) == engine.jnfs[e].max_blocks + 1 and any(row)
+            assert all(got == engine.choices(e, c) for c, got in enumerate(row) if got)
+
     def test_replaced_past_the_cap(self, monkeypatch, engine_population, fresh_engine_results):
         monkeypatch.setattr(decide, "_ENGINE_CAP", 8)
         first = decide._engine()

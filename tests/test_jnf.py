@@ -3,9 +3,15 @@
 import dataclasses
 import itertools
 import random
+import re
+import sys
+import threading
 
 import pytest
 
+from dspkit import decide, jnf as jnf_module
+from dspkit.classify import decide_unipotent_nilpotent, is_good, match_rigid_family, match_special
+from dspkit.decide import decide_generic, maximizer_slots, psi_defined, psi_step
 from dspkit.errors import InvalidInputError
 from dspkit.jnf import (
     Jnf,
@@ -14,13 +20,20 @@ from dspkit.jnf import (
     Subordination,
     corresponding_diagonal,
     d_of,
+    invariant_summary,
     is_subordinate,
     kappa_of,
     power_rank,
     r_of,
     z_of,
 )
-from dspkit.enumerate import all_jnfs, random_jnf, random_psi_defined_tuple
+from dspkit.enumerate import (
+    all_jnfs,
+    diagonal_jnfs,
+    enumerate_rigid_diagonal,
+    random_jnf,
+    random_psi_defined_tuple,
+)
 
 from oracles import (
     assert_same_as_checked,
@@ -303,6 +316,16 @@ class TestSubordination:
         assert power_rank(Partition([3, 1]), 1, 4) == 2
         assert power_rank(Partition([3, 1]), 2, 4) == 1
 
+    @pytest.mark.parametrize("j", [1.5, 2.0, True, "2", None])
+    def test_power_rank_rejects_non_int_powers(self, j):
+        with pytest.raises(InvalidInputError, match=f"^power must be an int, got {re.escape(repr(j))}$"):
+            power_rank(Partition((2, 1)), j, 3)
+
+    @pytest.mark.parametrize("j", [0, -1])
+    def test_power_rank_rejects_powers_below_one(self, j):
+        with pytest.raises(InvalidInputError, match="^power must be >= 1$"):
+            power_rank(Partition((2, 1)), j, 3)
+
 
 class TestRandomJnf:
     def test_pins_max_blocks(self):
@@ -318,6 +341,25 @@ class TestRandomJnf:
             random_jnf(n, random.Random(0), max_blocks=max_blocks)
 
 
+class TestSizeBelowOne:
+    """Every enumerator of JNFs of one size rejects a size that is not an int
+    of at least 1 with one message, cached sizes or not."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [all_jnfs, diagonal_jnfs, lambda n: enumerate_rigid_diagonal(n, 2),
+         lambda n: random_jnf(n, random.Random(0))],
+        ids=["all_jnfs", "diagonal_jnfs", "enumerate_rigid_diagonal", "random_jnf"],
+    )
+    @pytest.mark.parametrize("n", [-1, 0, "3", True, 3.0, None])
+    def test_rejected(self, build, n):
+        # all_jnfs(3) and all_jnfs(1) are cached: 3.0 and True must not find them
+        assert len(all_jnfs(3)) == 6 and len(all_jnfs(1)) == 1
+        message = f"^a JNF needs size n >= 1, got {re.escape(repr(n))}$"
+        with pytest.raises(InvalidInputError, match=message):
+            build(n)
+
+
 class TestRandomPsiDefinedTuple:
     @pytest.mark.parametrize("name, value", [("max_n", 1), ("max_p", 1), ("max_n", 0), ("max_p", -3)])
     def test_bound_below_two_rejected(self, name, value):
@@ -329,3 +371,189 @@ class TestRandomPsiDefinedTuple:
         for _ in range(20):
             tup = random_psi_defined_tuple(rng, max_n=2, max_p=2)
             assert (tup.n, len(tup)) == (2, 3)
+
+
+def _plain(tup) -> tuple:
+    return tuple(tuple(s.parts for s in e.slots) for e in tup.entries)
+
+
+class _Int(int):
+    pass
+
+
+class _Tuple(tuple):
+    pass
+
+
+class TestInterning:
+    """A plain entry (a tuple of tuples of exact ints) builds its Jnf once,
+    through one bounded table; every other entry takes the checked
+    constructor, and no answer depends on which path built a value."""
+
+    def test_equal_plain_entries_share_one_value(self):
+        raw = (((2, 1), (1,)), ((1, 1, 1), (1,)), ((3,), (1,)))
+        a, b = JnfTuple(raw), JnfTuple(tuple(tuple(tuple(s) for s in e) for e in raw))
+        direct = JnfTuple([Jnf(e) for e in raw])
+        for x, y, z in zip(a.entries, b.entries, direct.entries):
+            assert x is y and x is not z
+            assert x == z and hash(x) == hash(z) == hash((z.slots,)) and repr(x) == repr(z)
+        assert a == b == direct and hash(a) == hash(b) == hash(direct)
+        # another slot order is another key, but the same value
+        swapped = JnfTuple([((1,), (2, 1)), ((1, 1, 1), (1,)), ((3,), (1,))])
+        assert swapped.entries[0] is not a.entries[0] and swapped == a
+        # lists and Jnfs are not interned: the checked constructor runs
+        listed = JnfTuple([[[2, 1], [1]], Jnf(((1, 1, 1), (1,))), ((3,), (1,))])
+        assert listed.entries[0] is not a.entries[0] and listed == a
+        assert listed.entries[2] is a.entries[2]
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            (((True,), (1,)), "partition parts must be integers, got (True,)"),
+            (((1,), (True,)), "partition parts must be integers, got (True,)"),
+            (((1.0,), (1,)), "partition parts must be integers, got (1.0,)"),
+            (((1,), (1.0,)), "partition parts must be integers, got (1.0,)"),
+            ((_Tuple((True,)), (1,)), "partition parts must be integers, got (True,)"),
+            (_Tuple(((1,), (True,))), "partition parts must be integers, got (True,)"),
+            (((_Int(0),), (1,)), "partition parts must be positive, got (0,)"),
+            (((1,), ()), "partition must have at least one part"),
+            ((), "JNF must have at least one eigenvalue slot"),
+        ],
+    )
+    def test_impostors_raise_the_checked_errors(self, entry, message):
+        plain = JnfTuple([((1,), (1,))] * 2).entries[0]
+        assert JnfTuple([((1,), (1,))] * 2).entries[0] is plain
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            JnfTuple([((1,), (1,)), entry])
+
+    @pytest.mark.parametrize(
+        "entry", [((_Int(1),), (1,)), (_Tuple((1,)), (1,)), _Tuple(((1,), (1,)))]
+    )
+    def test_subclasses_are_built_not_looked_up(self, entry):
+        """The checked constructor accepts int and tuple subclasses; they get
+        a fresh value, never the one interned for `((1,), (1,))`."""
+        plain = JnfTuple([((1,), (1,))] * 2).entries[0]
+        got = JnfTuple([((1,), (1,)), entry]).entries[1]
+        assert got is not plain and got == plain and hash(got) == hash(plain)
+
+    def test_table_is_bounded_and_clears(self):
+        table = jnf_module._interned
+        cap = jnf_module._INTERN_CAP
+        assert table.cache_info().maxsize == cap
+        first = JnfTuple([((1,),)] * 2).entries[0]
+        for k in range(1, cap + 50):
+            JnfTuple([((k,),)] * 2)
+        assert table.cache_info().currsize == cap
+        # ((1,),) was the least recently used entry, so it left the table
+        again = JnfTuple([((1,),)] * 2).entries[0]
+        assert again is not first and again == first
+        table.cache_clear()
+        assert table.cache_info().currsize == 0
+        assert JnfTuple([((1,),)] * 2).entries[0] is not again
+
+    def test_maximizer_slots_are_a_fresh_list(self):
+        tup = JnfTuple([((2,), (1,), (1,)), ((3,), (1,)), ((2, 1, 1),)])
+        entry = tup.entries[0]
+        report, step = repr(decide_generic(tup)), repr(psi_step(tup, [1, 1, 0]))
+        got = maximizer_slots(entry)
+        assert got == [0, 1, 2] and got is not maximizer_slots(entry)
+        got.clear()
+        got.append(9)
+        assert maximizer_slots(entry) == [0, 1, 2] and entry.maximizers == (0, 1, 2)
+        assert decide.default_choice(entry) == entry.default_slot == 0
+        assert repr(decide_generic(tup)) == report and repr(psi_step(tup, [1, 1, 0])) == step
+        assert JnfTuple(_plain(tup)).entries[0] is entry
+
+    @pytest.fixture(scope="class")
+    def population(self):
+        """All 5,552 reduction-defined tuples with n <= 5 and 3-4 entries and
+        2,000 seeded random draws, as plain entries."""
+        raws = []
+        for n in range(2, 6):
+            for m in (3, 4):
+                for combo in itertools.combinations_with_replacement(all_jnfs(n), m):
+                    tup = JnfTuple(combo)
+                    if psi_defined(tup):
+                        raws.append(_plain(tup))
+        assert len(raws) == 5552
+        rng = random.Random(25)
+        while len(raws) < 5552 + 2000:
+            tup = random_psi_defined_tuple(rng)
+            if tup is not None:
+                raws.append(_plain(tup))
+        return raws
+
+    @staticmethod
+    def _answers(tups):
+        out = []
+        for tup in tups:
+            steps = []
+            for choice in itertools.product(*[maximizer_slots(e) for e in tup.entries]):
+                child = psi_step(tup, choice)
+                steps.append((repr(child), hash(child), [(e.r, e.z, e.d) for e in child.entries]))
+            recognized = [repr(match_rigid_family(tup)), repr(match_special(tup))]
+            if all(e.num_slots == 1 for e in tup.entries):
+                recognized += [
+                    decide_unipotent_nilpotent(tup, problem, mode)
+                    for problem in ("dsp", "weak_dsp")
+                    for mode in ("additive", "multiplicative")
+                ]
+            report = decide_generic(tup)
+            out.append(
+                (report, repr(report), invariant_summary(tup), is_good(tup), recognized, steps)
+            )
+        return out
+
+    def test_interned_and_direct_inputs_give_equal_answers(self, population, monkeypatch):
+        jnf_module._interned.cache_clear()
+        monkeypatch.setattr(decide, "_local", threading.local())
+        interned = [JnfTuple(raw) for raw in population]
+        for raw, tup in zip(population[:50], interned):
+            assert all(e is jnf_module._interned(r) for e, r in zip(tup.entries, raw))
+        got = self._answers(interned)
+        # a cold engine for the directly built values, none of them interned
+        monkeypatch.setattr(decide, "_local", threading.local())
+        direct = [JnfTuple([Jnf(e) for e in raw]) for raw in population]
+        assert self._answers(direct) == got
+
+    def test_threads_get_equal_values(self, population):
+        """Four threads, more than the cores, switching every 10 us, build
+        tuples from one cold table and read the lazy fields: each gets the
+        answers one thread alone gets.  Two threads that miss one entry at
+        once may each build a Jnf; the two are equal."""
+        raws = population[::8]
+
+        def answers():
+            out = []
+            for raw in raws:
+                tup = JnfTuple(raw)
+                out.append(
+                    (repr(decide_generic(tup)),
+                     [(e, e.z, e.d, e.maximizers, e.default_slot) for e in tup.entries])
+                )
+            return out
+
+        jnf_module._interned.cache_clear()
+        alone = answers()
+        jnf_module._interned.cache_clear()
+        slices = 4
+        start = threading.Barrier(slices, timeout=60)
+        results = [None] * slices
+
+        def work(i):
+            start.wait()
+            results[i] = answers()
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(slices)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for i in range(slices):
+            assert results[i] == alone, i
