@@ -87,16 +87,25 @@ def diagonal_jnfs(n: int) -> tuple[Jnf, ...]:
 
 
 def diagonal_tuples(n: int, p: int) -> Iterator[JnfTuple]:
-    """All multisets of p+1 diagonal JNFs of size n."""
+    """All multisets of p+1 diagonal JNFs of size n.
+
+    Raises InvalidInputError, at the first draw, when n or p is not an int
+    (bools included), or is below 1.
+    """
+    _check_size(n)
+    if p.__class__ is not int or p < 1:
+        raise InvalidInputError(f"a tuple needs p >= 1 (p + 1 entries), got {p!r}")
     for combo in itertools.combinations_with_replacement(diagonal_jnfs(n), p + 1):
         yield JnfTuple(combo)
 
 
 def enumerate_rigid_diagonal(n: int, p: int) -> list[JnfTuple]:
-    """Deduplicated diagonal tuples with rigidity index 2 passing the generic
-    criterion (canonical entry order from the Jnf ordering).
+    """Deduplicated diagonal tuples of p + 1 entries with rigidity index 2
+    passing the generic criterion (canonical entry order from the Jnf
+    ordering).
 
-    Raises InvalidInputError when n is not an int (bools included) or n < 1.
+    Raises InvalidInputError when n or p is not an int (bools included), or
+    is below 1.
     """
     from .classify import is_good
 

@@ -14,6 +14,7 @@ plain int, never a Fraction-valued scalar.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -86,15 +87,26 @@ class ClassSpec:
             raise InvalidInputError(
                 f"class slots must be (blocks, eigenvalue) pairs, got {slots!r}"
             ) from None
-        pairs.sort(key=lambda pe: (pe[0].parts, pe[1].sort_key()), reverse=True)
-        evs = tuple(ev for _, ev in pairs)
-        if len(set(evs)) != len(evs):
+        # each coordinate of `sort_key` as an int over the lcm of that
+        # coordinate's denominators in the class: the order and equality of
+        # `sort_key` without Fraction comparisons and hashes, and the ints
+        # `_key_map` starts from
+        coords = [ev.sort_key() for _, ev in pairs]
+        s0 = math.lcm(*[x.denominator for x, _ in coords])
+        s1 = math.lcm(*[y.denominator for _, y in coords])
+        ints = [(x.numerator * (s0 // x.denominator), y.numerator * (s1 // y.denominator))
+                for x, y in coords]
+        if len(set(ints)) != len(ints):
             raise InvalidInputError("eigenvalues within one class must be pairwise distinct")
-        jnf = Jnf([part for part, _ in pairs])
-        assert jnf.slots == tuple(part for part, _ in pairs), "slot order must be stable"
+        order = sorted(range(len(pairs)), key=lambda i: (pairs[i][0].parts, ints[i]), reverse=True)
+        evs = tuple(pairs[i][1] for i in order)
+        jnf = Jnf([pairs[i][0] for i in order])
+        assert jnf.slots == tuple(pairs[i][0] for i in order), "slot order must be stable"
         object.__setattr__(self, "jnf", jnf)
         object.__setattr__(self, "eigenvalues", evs)
         object.__setattr__(self, "mode", mode)
+        # not a field: equality, hashing and repr stay those of the fields
+        object.__setattr__(self, "_scaled", ((s0, s1), tuple(ints[i] for i in order)))
 
     @property
     def n(self) -> int:
@@ -229,38 +241,55 @@ def _key_map(specs: Assignment):
     by wrap, the lcm of its denominators (wrap is 1 additively), is the
     digit above: key = (packed + arg*wrap * F) mod M with M = wrap * F.
     """
-    pairs = [(ev, m) for s in specs for ev, m in zip(s.eigenvalues, s.multiplicities())]
+    mults = [m for s in specs for m in s.multiplicities()]
+    # the classes' own values start from their scaled ints (`ClassSpec._scaled`)
+    # and are packed a coordinate column at a time, all slots at once
     if specs.mode == "additive":
         wrap = 1
-        scale = math.lcm(*(x.denominator for ev, _ in pairs for x in (ev.re, ev.im)))
+        scale = math.lcm(*(x for s in specs for x in s._scaled[0]))
 
         def coordinates(ev):
             return [x.numerator * (scale // x.denominator) for x in (ev.re, ev.im)], 0
 
+        columns: list[list[int]] = [[], []]
+        for s in specs:
+            (re_scale, im_scale), ints = s._scaled
+            f, g = scale // re_scale, scale // im_scale
+            columns[0] += [re * f for re, _ in ints]
+            columns[1] += [im * g for _, im in ints]
+        args = [0] * len(mults)
+
     else:
-        wrap = math.lcm(*(ev.arg.denominator for ev, _ in pairs))
-        base = _coprime_base(
-            x for ev, _ in pairs for x in (ev.modulus.numerator, ev.modulus.denominator)
-        )
+        wrap = math.lcm(*(s._scaled[0][1] for s in specs))
+        moduli = [ev.modulus for s in specs for ev in s.eigenvalues]
+        base = _coprime_base(x for q in moduli for x in (q.numerator, q.denominator))
 
         def coordinates(ev):
             q = ev.modulus
             exponents = [_valuation(q.numerator, b) - _valuation(q.denominator, b) for b in base]
             return exponents, ev.arg.numerator * (wrap // ev.arg.denominator)
 
-    vectors = [coordinates(ev) for ev, _ in pairs]
+        columns = [[_valuation(q.numerator, b) - _valuation(q.denominator, b) for q in moduli]
+                   for b in base]
+        args = []
+        for s in specs:
+            (_, arg_scale), ints = s._scaled
+            f = wrap // arg_scale
+            args += [arg * f for _, arg in ints]
+
     places, span = [], 1
-    # by index: zip(*vectors) would leave slot-count-long column tuples in
-    # CPython's tuple free list, which raised peak RSS by 0.8 MB on `relations`
-    for i in range(len(vectors[0][0])):
+    for column in columns:
         places.append(span)
-        span *= 2 * sum(m * abs(free[i]) for (free, _), (_, m) in zip(vectors, pairs)) + 1
+        span *= 2 * sum(map(operator.mul, mults, map(abs, column))) + 1
     modulus = wrap * span
+    keys = [arg * span for arg in args]
+    for column, place in zip(columns, places):
+        keys = [key + x * place for key, x in zip(keys, column)]
 
     def pack(free, arg) -> int:
         return (sum(x * place for x, place in zip(free, places)) + arg * span) % modulus
 
-    return modulus, [pack(*vector) for vector in vectors], lambda ev: pack(*coordinates(ev))
+    return modulus, [key % modulus for key in keys], lambda ev: pack(*coordinates(ev))
 
 
 def _integer_keys(specs: Assignment) -> tuple[int, list]:
@@ -584,16 +613,24 @@ def sample_generic(
     of S equal cells of [-3, 3) (values) or [0, 1) (arguments), so
     `_well_scaled` rejects only a badly placed solved slot; `max_retries`
     bounds those redraws.  Returns a plain list of `ClassSpec`s.  Raises
-    InvalidInputError for an unknown mode, a `tup` that is not a `JnfTuple`
-    or a `max_retries` that is not an int >= 1 (bools included), and
-    SamplingExhaustedError at once for additive multiplicities with a common
-    factor g > 1 (every assignment then has a relation), or when
-    `max_retries` draws are all badly scaled.
+    InvalidInputError for an unknown mode, a `tup` that is not a `JnfTuple`,
+    a `seed` that is not None, an int, a float, a str, bytes or a bytearray
+    (what `random.Random` takes; Python 3.10 hashed any other seed, numpy
+    integers included, with a DeprecationWarning) or a `max_retries` that
+    is not an int >= 1 (bools included), and SamplingExhaustedError at once
+    for additive multiplicities with a common factor g > 1 (every
+    assignment then has a relation), or when `max_retries` draws are all
+    badly scaled.
     """
     if mode not in ("additive", "multiplicative"):
         raise InvalidInputError(f"unknown mode {mode!r}")
     if not isinstance(tup, JnfTuple):
         raise InvalidInputError(f"tup must be a JnfTuple, got {type(tup).__name__}")
+    if seed is not None and not isinstance(seed, (int, float, str, bytes, bytearray)):
+        raise InvalidInputError(
+            "seed must be None, an int, a float, a str, bytes or a bytearray, "
+            f"got {type(seed).__name__}"
+        )
     if isinstance(max_retries, bool) or not isinstance(max_retries, int) or max_retries < 1:
         raise InvalidInputError(f"max_retries must be an int >= 1, got {max_retries!r}")
     additive = mode == "additive"

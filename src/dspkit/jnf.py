@@ -194,6 +194,11 @@ class Jnf:
 
     def multiplicities(self) -> tuple[int, ...]:
         """Eigenvalue multiplicities, one per slot in canonical order."""
+        return self._multiplicities
+
+    @_lazy
+    def _multiplicities(self) -> tuple[int, ...]:
+        """`multiplicities()`, computed on first use."""
         return tuple(s.total for s in self.slots)
 
     def is_diagonal(self) -> bool:

@@ -8,7 +8,9 @@ fold, kept to compare the search's size-based split against on the same
 integer keys.  The global-constraint test sums (multiplies) the eigenvalues
 in plain Fraction arithmetic, the form `check_evs` replaced by the keys, and
 the sampler's spacing test subtracts Fractions where `_well_scaled`
-compares integer cross products.
+compares integer cross products.  The class slot order sorts on the
+eigenvalues' Fraction `sort_key` and checks distinctness on Fraction hashes,
+where `ClassSpec` compares scaled ints.
 """
 
 from __future__ import annotations
@@ -127,6 +129,15 @@ def fraction_check_evs(specs) -> bool:
         modulus *= Fraction(ev.modulus) ** m
         arg += Fraction(ev.arg) * m
     return modulus == 1 and arg.denominator == 1
+
+
+def fraction_class_order(pairs):
+    """The (partition, eigenvalue) pairs of one class in slot order, by the
+    partitions' parts and then the eigenvalues' Fraction `sort_key`, both
+    descending; None when two eigenvalues are equal."""
+    if len({ev for _, ev in pairs}) != len(pairs):
+        return None
+    return sorted(pairs, key=lambda pe: (pe[0].parts, pe[1].sort_key()), reverse=True)
 
 
 def fraction_well_scaled(values, mode: str) -> bool:

@@ -34,11 +34,12 @@ from dspkit.genericity import (
 )
 from dspkit.classify import RigidFamily, rigid_family_tuple
 from dspkit.decide import check_conditions
-from dspkit.jnf import Jnf, JnfTuple, Partition
+from dspkit.jnf import Jnf, JnfTuple, Partition, kappa_of
 from dspkit.scalars import AdditiveScalar, MultiplicativeScalar
 
 from oracles import (
     fraction_check_evs,
+    fraction_class_order,
     fraction_well_scaled,
     half_split_relations,
     naive_relation_counts,
@@ -264,6 +265,12 @@ def encoding_value(rng, case):
     if case == "large_primes_multiplicative":
         return MultiplicativeScalar(rng.choice([1, 2, Fraction(1, 2)]),
                                     Fraction(rng.choice([0, 1, 2, P1 - 1, P1 - 2]), P1))
+    if case == "mixed_denominators_additive":  # classes scaled by different lcms
+        return AdditiveScalar(Fraction(rng.randint(-3, 3), rng.choice([1, 2, 3, 4])),
+                              Fraction(rng.randint(-2, 2), rng.choice([1, 3, 5])))
+    if case == "mixed_denominators_multiplicative":
+        return MultiplicativeScalar(rng.choice([1, 2, Fraction(1, 3)]),
+                                    Fraction(rng.randint(0, 5), rng.choice([2, 3, 4, 6])))
     # negative keys: moduli below 1 and args whose sums carry past 1
     return MultiplicativeScalar(rng.choice([Fraction(1, 2), Fraction(1, 3), Fraction(1, 6), 1, 6]),
                                 Fraction(rng.randint(0, 2), 3))
@@ -365,7 +372,8 @@ class TestConstraintOracle:
 
 
 ENCODING_CASES = ["nonreal", "shared_moduli", "large_primes_additive",
-                  "large_primes_multiplicative", "negative_keys"]
+                  "large_primes_multiplicative", "negative_keys",
+                  "mixed_denominators_additive", "mixed_denominators_multiplicative"]
 
 
 def fraction_value(pairs, counts, mode):
@@ -640,6 +648,37 @@ class TestStateBudget:
         assert str(info.value) == (
             "generalized rank condition exceeded its state budget at cardinality k=5: "
             "200001 states used, budget 200000"
+        )
+
+
+class TestStateBudgetAcrossFolds:
+    """Four classes of four slots, each of 6 values at k = 2: two classes
+    on each side, so both sides are folded, and the budget of k counts the
+    DP states, the lookup side's fold and the folded side's fold in turn."""
+
+    @staticmethod
+    def specs():
+        rows = [[0, 1, 3, -4], [2, -1, 5, -6], [1, -2, 7, -6], [3, 4, -9, 2]]
+        return [ClassSpec([(Partition([1]), AdditiveScalar(Fraction(x, 2))) for x in row], "additive")
+                for row in rows]
+
+    @pytest.mark.parametrize(
+        "call, used, what, k",
+        [
+            (lambda s, b: relation_selection_count(s, 2, state_budget=b), 153, "relation counting", 2),
+            (lambda s, b: find_relation(s, state_budget=b), 90, "relation search", 1),
+            (lambda s, b: list(_relation_counts(s, b)), 153, "relation counting", 2),
+        ],
+        ids=["relation_selection_count", "find_relation", "_relation_counts"],
+    )
+    def test_smallest_budget_and_overrun(self, call, used, what, k):
+        specs = self.specs()
+        assert call(specs, used) is not None
+        with pytest.raises(ResourceExceededError) as info:
+            call(specs, used - 1)
+        assert str(info.value) == (
+            f"{what} exceeded its state budget at cardinality k={k}: "
+            f"{used} states used, budget {used - 1}"
         )
 
 
@@ -1098,6 +1137,51 @@ class TestKeysBuiltOnce:
         assert len(calls) == 1
 
 
+class TestAnswersAgainstOracles:
+    @pytest.mark.parametrize("mode", ["additive", "multiplicative"])
+    def test_sampled_planted_and_random_problems(self, mode):
+        """Sampled, planted and random small-denominator problems: the
+        answers through a plain list equal those through an `Assignment`,
+        and the exact Fraction and brute-force oracles."""
+        from dspkit.classify import weak_verdict_kappa2
+
+        def answers(specs):
+            n = specs[0].n
+            rigid = kappa_of(specs_tuple(specs)) == 2
+            return (
+                check_evs(specs),
+                find_relation(specs),
+                list(_relation_counts(specs)),
+                [relation_selection_count(specs, k) for k in range(1, n)],
+                gcd_reduction(specs),
+                check_generalized_beta(specs),
+                weak_verdict_kappa2(specs) if rigid else None,
+            )
+
+        rng = random.Random(17)
+        problems = []
+        for tup in rigid_rows(6):
+            problems.append(sample_generic(tup, mode, seed=rng.randrange(1 << 20)))
+            problems.append(planted_specs(rng, tup, mode))
+        problems += [random_small_specs(rng, mode, forced) for forced in (False, True) * 10]
+        checked = 0
+        for specs in filter(None, problems):
+            got = answers(specs)
+            assert answers(Assignment(specs)) == got
+            evs_ok, witness, counts = got[:3]
+            assert evs_ok == fraction_check_evs(specs)
+            if specs[0].n <= 5:
+                assert counts == naive_relation_counts(specs)
+            assert got[3] == counts
+            if witness is None:
+                assert not any(counts)
+            else:
+                k = witness.cardinality
+                assert counts[k - 1] > 0 and not any(counts[: k - 1])
+            checked += 1
+        assert checked >= 40
+
+
 class TestMalformedClassSpec:
     @pytest.mark.parametrize(
         "slots",
@@ -1116,6 +1200,50 @@ class TestMalformedClassSpec:
             exp_map([(Partition([1]), AdditiveScalar(0))])
 
 
+class TestClassOrder:
+    """`ClassSpec` orders its slots and rejects repeated eigenvalues on
+    scaled ints as the Fraction rule of `fraction_class_order` does."""
+
+    @staticmethod
+    def random_pairs(rng, mode):
+        # few partitions and small coordinates of both signs over mixed
+        # denominators: equal partitions, equal values and values equal in
+        # their first coordinate only are all common
+        pairs = []
+        for _ in range(rng.randint(1, 6)):
+            part = Partition(rng.choice([(1,), (2,), (1, 1), (2, 1)]))
+            second = Fraction(rng.randint(-5, 5), rng.choice([1, 2, 3, 4, 6]))
+            if mode == "additive":
+                ev = AdditiveScalar(Fraction(rng.randint(-3, 3), rng.choice([1, 2, 3])), second)
+            else:
+                ev = MultiplicativeScalar(rng.choice([1, 2, Fraction(1, 2), Fraction(3, 2)]), second % 1)
+            pairs.append((part, ev))
+        return pairs
+
+    @pytest.mark.parametrize("mode", ["additive", "multiplicative"])
+    def test_same_order_and_rejections_as_fractions(self, mode):
+        rng = random.Random(11)
+        rejected = ordered = 0
+        for _ in range(3000):
+            pairs = self.random_pairs(rng, mode)
+            want = fraction_class_order(pairs)
+            if want is None:
+                with pytest.raises(InvalidInputError, match="pairwise distinct"):
+                    ClassSpec(pairs, mode)
+                rejected += 1
+            else:
+                spec = ClassSpec(pairs, mode)
+                assert list(zip(spec.jnf.slots, spec.eigenvalues)) == want, pairs
+                ordered += 1
+        assert rejected > 50 and ordered > 1000
+
+    def test_second_coordinates_over_mixed_denominators(self):
+        values = [(Fraction(1, 2), Fraction(-1, 3)), (Fraction(1, 2), Fraction(1, 4)),
+                  (Fraction(1, 2), Fraction(-1, 6)), (Fraction(-1, 3), Fraction(5, 4))]
+        spec = ClassSpec([(Partition([1]), AdditiveScalar(*v)) for v in values], "additive")
+        assert [(ev.re, ev.im) for ev in spec.eigenvalues] == [values[i] for i in (1, 2, 0, 3)]
+
+
 class TestSamplerArguments:
     """`sample_generic` raises only what its docstring names."""
 
@@ -1129,6 +1257,20 @@ class TestSamplerArguments:
         tup = JnfTuple([Jnf([[1], [1]])] * 3)
         with pytest.raises(InvalidInputError, match="max_retries must be an int >= 1, got "):
             sample_generic(tup, "additive", seed=0, max_retries=max_retries)
+
+    @pytest.mark.parametrize("seed", [[1], {}, object(), (1, 2), {1}, 1j])
+    def test_seed_random_does_not_take(self, seed):
+        tup = JnfTuple([Jnf([[1], [1]])] * 3)
+        with pytest.raises(InvalidInputError, match="seed must be None, an int, a float, a str, bytes or a bytearray, got "):
+            sample_generic(tup, "additive", seed=seed)
+
+    @pytest.mark.parametrize("seed", [None, 7, -7, True, 2.5, "seven", b"seven", bytearray(b"seven"), 10**30])
+    def test_seeds_random_takes_still_draw(self, seed):
+        tup = rigid_family_tuple(RigidFamily.HYPERGEOMETRIC, 4)
+        specs = sample_generic(tup, "multiplicative", seed=seed)
+        assert check_evs(specs) and find_relation(specs) is None
+        if seed is not None:
+            assert sample_generic(tup, "multiplicative", seed=seed) == specs
 
     def test_returns_a_plain_list(self):
         specs = sample_generic(JnfTuple([Jnf([[1], [1]])] * 3), "multiplicative", seed=0, max_retries=1)

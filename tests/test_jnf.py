@@ -30,6 +30,7 @@ from dspkit.jnf import (
 from dspkit.enumerate import (
     all_jnfs,
     diagonal_jnfs,
+    diagonal_tuples,
     enumerate_rigid_diagonal,
     random_jnf,
     random_psi_defined_tuple,
@@ -358,6 +359,32 @@ class TestSizeBelowOne:
         message = f"^a JNF needs size n >= 1, got {re.escape(repr(n))}$"
         with pytest.raises(InvalidInputError, match=message):
             build(n)
+
+
+class TestRigidDiagonalP:
+    """`enumerate_rigid_diagonal` and `diagonal_tuples` take an int p >= 1,
+    p + 1 entries."""
+
+    @pytest.mark.parametrize(
+        "build", [enumerate_rigid_diagonal, lambda n, p: list(diagonal_tuples(n, p))],
+        ids=["enumerate_rigid_diagonal", "diagonal_tuples"],
+    )
+    @pytest.mark.parametrize("p", ["2", 1.5, 2.0, True, False, None, 0, -1, -2])
+    def test_rejected(self, build, p):
+        message = "^" + re.escape(f"a tuple needs p >= 1 (p + 1 entries), got {p!r}") + "$"
+        with pytest.raises(InvalidInputError, match=message):
+            build(3, p)
+
+    def test_bad_n_is_named_first(self):
+        with pytest.raises(InvalidInputError, match="size n >= 1"):
+            enumerate_rigid_diagonal(0, "2")
+
+    def test_p1_and_p2(self):
+        # no pair of size-3 diagonal entries is rigid; the one rigid triple
+        # has multiplicities (2, 1), (1, 1, 1) and (1, 1, 1)
+        assert enumerate_rigid_diagonal(3, 1) == []
+        distinct = Jnf([[1], [1], [1]])
+        assert enumerate_rigid_diagonal(3, 2) == [JnfTuple([Jnf([[1, 1], [1]]), distinct, distinct])]
 
 
 class TestRandomPsiDefinedTuple:
