@@ -3,8 +3,8 @@
 Subcommands: invariants, decide, generic, classify, realize, enumerate-rigid.
 Each reads one JSON problem per file (or every *.json in a directory for
 batch mode), streams one JSON report per problem to stdout and diagnostics to
-stderr.  Exit codes: 0 success (including found=false), 2 invalid input,
-3 not-applicable or budget-exceeded outcomes.
+stderr.  Exit codes: 0 success (including found=false), 1 stdout closed by
+its reader, 2 invalid input, 3 not-applicable or budget-exceeded outcomes.
 """
 
 from __future__ import annotations
@@ -397,9 +397,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _dispatch(args)
-    except DspkitError as exc:
-        return _report_failure(args.command, exc)
+        try:
+            return _dispatch(args)
+        except DspkitError as exc:
+            return _report_failure(args.command, exc)
+        finally:
+            sys.stdout.flush()  # a closed reader shows here, not at exit
+    except BrokenPipeError:
+        # stdout's reader is gone: send the interpreter's final flush to
+        # devnull, so that it prints no second error
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
 
 
 if __name__ == "__main__":

@@ -9,14 +9,13 @@ from typing import Iterator, Optional
 
 from .decide import psi_defined
 from .errors import InvalidInputError
-from .jnf import Jnf, JnfTuple, Partition, kappa_of
+from .jnf import Jnf, JnfTuple, Partition
 
 __all__ = [
     "partitions",
     "all_partitions",
     "all_jnfs",
     "diagonal_jnfs",
-    "diagonal_tuples",
     "enumerate_rigid_diagonal",
     "random_jnf",
     "random_psi_defined_tuple",
@@ -86,34 +85,26 @@ def diagonal_jnfs(n: int) -> tuple[Jnf, ...]:
     )
 
 
-def diagonal_tuples(n: int, p: int) -> Iterator[JnfTuple]:
-    """All multisets of p+1 diagonal JNFs of size n.
-
-    Raises InvalidInputError, at the first draw, when n or p is not an int
-    (bools included), or is below 1.
-    """
-    _check_size(n)
-    if p.__class__ is not int or p < 1:
-        raise InvalidInputError(f"a tuple needs p >= 1 (p + 1 entries), got {p!r}")
-    for combo in itertools.combinations_with_replacement(diagonal_jnfs(n), p + 1):
-        yield JnfTuple(combo)
-
-
 def enumerate_rigid_diagonal(n: int, p: int) -> list[JnfTuple]:
     """Deduplicated diagonal tuples of p + 1 entries with rigidity index 2
     passing the generic criterion (canonical entry order from the Jnf
-    ordering).
+    ordering), in `combinations_with_replacement` order of `diagonal_jnfs`.
+
+    Each class has d = n^2 - z, so kappa = 2n^2 - sum d = sum z - (p - 1) n^2:
+    only the multisets whose stored z sum to (p - 1) n^2 + 2 become tuples.
 
     Raises InvalidInputError when n or p is not an int (bools included), or
-    is below 1.
+    is below 1; n is checked first.
     """
     from .classify import is_good
 
-    out = []
-    for tup in diagonal_tuples(n, p):
-        if kappa_of(tup) == 2 and is_good(tup):
-            out.append(tup)
-    return out
+    classes = diagonal_jnfs(n)
+    if p.__class__ is not int or p < 1:
+        raise InvalidInputError(f"a tuple needs p >= 1 (p + 1 entries), got {p!r}")
+    rigid_z = (p - 1) * n * n + 2
+    combos = itertools.combinations_with_replacement(classes, p + 1)
+    rigid = (JnfTuple(c) for c in combos if sum(e.z for e in c) == rigid_z)
+    return [tup for tup in rigid if is_good(tup)]
 
 
 def random_jnf(n: int, rng: random.Random, max_blocks: Optional[int] = None) -> Jnf:
@@ -121,13 +112,15 @@ def random_jnf(n: int, rng: random.Random, max_blocks: Optional[int] = None) -> 
     block count (hence r = n - max_blocks).
 
     Raises InvalidInputError when n is not an int (bools included), n < 1 or
-    max_blocks is outside 1..n.
+    max_blocks is neither None nor an int (bools included) in 1..n.
     """
     _check_size(n)
-    if max_blocks is not None and not 1 <= max_blocks <= n:
-        raise InvalidInputError(f"max_blocks must be in 1..{n}, got {max_blocks}")
     if max_blocks is None:
         max_blocks = rng.randint(1, n)
+    elif max_blocks.__class__ is not int:
+        raise InvalidInputError(f"max_blocks must be an int, got {max_blocks!r}")
+    elif not 1 <= max_blocks <= n:
+        raise InvalidInputError(f"max_blocks must be in 1..{n}, got {max_blocks}")
     s = max_blocks
     slots: list[Partition] = []
     # first slot realizes the target block count exactly
@@ -160,12 +153,14 @@ def random_psi_defined_tuple(
     the matching maximal block counts, retrying until alpha holds as well.
     Sizes are drawn from 2..max_n and p from 2..max_p.
 
-    Raises InvalidInputError when max_n < 2 or max_p < 2.
+    Raises InvalidInputError when max_n, max_p or max_tries is not an int
+    (bools included), when max_n < 2 or max_p < 2, or when max_tries < 1.
     """
-    if max_n < 2:
-        raise InvalidInputError(f"max_n must be at least 2, got {max_n}")
-    if max_p < 2:
-        raise InvalidInputError(f"max_p must be at least 2, got {max_p}")
+    for name, value, low in (("max_n", max_n, 2), ("max_p", max_p, 2), ("max_tries", max_tries, 1)):
+        if value.__class__ is not int:
+            raise InvalidInputError(f"{name} must be an int, got {value!r}")
+        if value < low:
+            raise InvalidInputError(f"{name} must be at least {low}, got {value}")
     for _ in range(max_tries):
         n = rng.randint(2, max_n)
         count = rng.randint(3, max_p + 1)

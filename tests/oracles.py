@@ -10,18 +10,23 @@ in plain Fraction arithmetic, the form `check_evs` replaced by the keys, and
 the sampler's spacing test subtracts Fractions where `_well_scaled`
 compares integer cross products.  The class slot order sorts on the
 eigenvalues' Fraction `sort_key` and checks distinctness on Fraction hashes,
-where `ClassSpec` compares scaled ints.
+where `ClassSpec` compares scaled ints.  The rigid diagonal enumeration
+builds every multiset of diagonal classes and computes its kappa, where
+`enumerate_rigid_diagonal` sums the classes' stored z first.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 
+from dspkit.classify import is_good
+from dspkit.enumerate import diagonal_jnfs
 from dspkit.genericity import Assignment, _grow_layers, _StateBudget
-from dspkit.jnf import Jnf, JnfTuple
+from dspkit.jnf import Jnf, JnfTuple, kappa_of
 from dspkit.scalars import AdditiveScalar, MultiplicativeScalar
 
 
@@ -275,6 +280,14 @@ def assert_same_as_checked(fast, checked) -> None:
         assert getattr(fast, name) == getattr(checked, name), (name, fast)
     for a, b in zip(fast.slots, checked.slots):
         assert (a.total, a.num_parts, hash(a)) == (b.total, b.num_parts, hash(b)), fast
+
+
+def rigid_diagonal_brute(n: int, p: int) -> list[JnfTuple]:
+    """Every multiset of p + 1 diagonal classes of size n, in
+    `combinations_with_replacement` order, built as a checked tuple and kept
+    when its kappa is 2 and `is_good` passes it."""
+    combos = itertools.combinations_with_replacement(diagonal_jnfs(n), p + 1)
+    return [tup for tup in map(JnfTuple, combos) if kappa_of(tup) == 2 and is_good(tup)]
 
 
 def star_root_verdict(tup: JnfTuple) -> bool:

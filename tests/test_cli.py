@@ -608,6 +608,31 @@ class TestEnumerateRigid:
         assert families == ["even_family", "extra_case", "hypergeometric"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    # about 12 kB of reports fill the stdout buffer mid-batch; 1.3 kB fail
+    # only at the last flush
+    [["decide", str(FIXTURES)], ["enumerate-rigid", "--n", "6"]],
+    ids=["decide-batch", "enumerate-rigid"],
+)
+def test_closed_stdout_exits_1_without_traceback(argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # no reader from the start, so every write fails
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "dspkit", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            text=True,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr and "BrokenPipeError" not in proc.stderr, proc.stderr
+
+
 class TestRoundTripAndBatch:
     @pytest.mark.parametrize(
         "name",

@@ -38,6 +38,9 @@ def runs() -> list[list[str]]:
     targets.append("fixtures")
     out = [[cmd, target, *flags] for cmd, *flags in COMMANDS for target in targets]
     out += [["enumerate-rigid", "--n", str(n)] for n in range(1, 7)]
+    out += [
+        ["enumerate-rigid", "--n", str(n), "--p", p] for p in ("1", "3") for n in range(1, 7)
+    ]
     return out
 
 

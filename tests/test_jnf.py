@@ -30,7 +30,6 @@ from dspkit.jnf import (
 from dspkit.enumerate import (
     all_jnfs,
     diagonal_jnfs,
-    diagonal_tuples,
     enumerate_rigid_diagonal,
     random_jnf,
     random_psi_defined_tuple,
@@ -41,6 +40,7 @@ from oracles import (
     commutant_nullity_exact,
     jordan_matrix_exact,
     min_shifted_rank_exact,
+    rigid_diagonal_brute,
     shrink_plain,
 )
 
@@ -341,6 +341,12 @@ class TestRandomJnf:
         with pytest.raises(InvalidInputError):
             random_jnf(n, random.Random(0), max_blocks=max_blocks)
 
+    @pytest.mark.parametrize("max_blocks", [1.5, 2.0, "2", True, False])
+    def test_non_int_rejected(self, max_blocks):
+        message = "^" + re.escape(f"max_blocks must be an int, got {max_blocks!r}") + "$"
+        with pytest.raises(InvalidInputError, match=message):
+            random_jnf(3, random.Random(0), max_blocks=max_blocks)
+
 
 class TestSizeBelowOne:
     """Every enumerator of JNFs of one size rejects a size that is not an int
@@ -362,12 +368,11 @@ class TestSizeBelowOne:
 
 
 class TestRigidDiagonalP:
-    """`enumerate_rigid_diagonal` and `diagonal_tuples` take an int p >= 1,
-    p + 1 entries."""
+    """`enumerate_rigid_diagonal` takes an int p >= 1, p + 1 entries, and
+    keeps the multisets the brute-force walk keeps, in its order."""
 
     @pytest.mark.parametrize(
-        "build", [enumerate_rigid_diagonal, lambda n, p: list(diagonal_tuples(n, p))],
-        ids=["enumerate_rigid_diagonal", "diagonal_tuples"],
+        "build", [enumerate_rigid_diagonal], ids=["enumerate_rigid_diagonal"]
     )
     @pytest.mark.parametrize("p", ["2", 1.5, 2.0, True, False, None, 0, -1, -2])
     def test_rejected(self, build, p):
@@ -386,12 +391,42 @@ class TestRigidDiagonalP:
         distinct = Jnf([[1], [1], [1]])
         assert enumerate_rigid_diagonal(3, 2) == [JnfTuple([Jnf([[1, 1], [1]]), distinct, distinct])]
 
+    @pytest.mark.parametrize("p, top", [(2, 12), (3, 8), (4, 8)])
+    def test_matches_brute_force(self, p, top):
+        for n in range(1, top + 1):
+            assert enumerate_rigid_diagonal(n, p) == rigid_diagonal_brute(n, p), (n, p)
+
+    @pytest.mark.parametrize("n, p, count", [(16, 2, 2388), (10, 3, 251)])
+    def test_count(self, n, p, count):
+        assert len(enumerate_rigid_diagonal(n, p)) == count
+
 
 class TestRandomPsiDefinedTuple:
     @pytest.mark.parametrize("name, value", [("max_n", 1), ("max_p", 1), ("max_n", 0), ("max_p", -3)])
     def test_bound_below_two_rejected(self, name, value):
         with pytest.raises(InvalidInputError, match=f"^{name} must be at least 2, got {value}$"):
             random_psi_defined_tuple(random.Random(0), **{name: value})
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("max_n", "5"), ("max_n", 2.5), ("max_n", True), ("max_p", 3.0), ("max_p", None),
+         ("max_tries", 1.5), ("max_tries", True), ("max_tries", "10")],
+    )
+    def test_non_int_rejected(self, name, value):
+        message = "^" + re.escape(f"{name} must be an int, got {value!r}") + "$"
+        with pytest.raises(InvalidInputError, match=message):
+            random_psi_defined_tuple(random.Random(0), **{name: value})
+
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_no_tries_rejected(self, value):
+        with pytest.raises(InvalidInputError, match=f"^max_tries must be at least 1, got {value}$"):
+            random_psi_defined_tuple(random.Random(0), max_tries=value)
+
+    def test_one_try(self):
+        # a single draw returns a tuple or None, never raises
+        rng = random.Random(0)
+        draws = [random_psi_defined_tuple(rng, max_tries=1) for _ in range(50)]
+        assert any(t is None for t in draws) and any(t is not None for t in draws)
 
     def test_smallest_bounds_draw(self):
         rng = random.Random(0)
