@@ -10,9 +10,9 @@ as UNKNOWN, never as a definite verdict.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
+from ._record import Record
 from .decide import TerminationReason, Verdict, _engine, check_conditions
 from .errors import (
     InvalidInputError,
@@ -20,15 +20,10 @@ from .errors import (
     NotApplicableError,
     ResourceExceededError,
 )
-from .genericity import (
-    Assignment,
-    ClassSpec,
-    _assignment,
-    _relation_counts,
-    check_evs,
-    gcd_reduction,
-)
 from .jnf import Jnf, JnfTuple, Partition, Subordination, is_subordinate, kappa_of
+
+if TYPE_CHECKING:
+    from .genericity import ClassSpec
 
 __all__ = [
     "RigidFamily",
@@ -111,10 +106,12 @@ class SpecialKind(enum.Enum):
     NONE = "none"
 
 
-@dataclass(frozen=True)
-class SpecialCaseTag:
+class SpecialCaseTag(Record):
     kind: SpecialKind
     k: Optional[int]
+
+    def __init__(self, kind: SpecialKind, k: Optional[int]):
+        self.__dict__.update(kind=kind, k=k)
 
 
 # (block size per entry, n divisor) per special row; entries hold blocks of
@@ -222,11 +219,13 @@ def is_good(tup: JnfTuple) -> bool:
     return _engine().walk(tup)[2] is not TerminationReason.PSI_UNDEFINED
 
 
-@dataclass(frozen=True)
-class SpecialDiagonalWitness:
+class SpecialDiagonalWitness(Record):
     l: int
     n1: int
     quotient: tuple[ClassSpec, ...]
+
+    def __init__(self, l: int, n1: int, quotient: tuple[ClassSpec, ...]):
+        self.__dict__.update(l=l, n1=n1, quotient=quotient)
 
 
 def is_special_diagonal(specs: Sequence[ClassSpec]) -> Optional[SpecialDiagonalWitness]:
@@ -241,6 +240,8 @@ def is_special_diagonal(specs: Sequence[ClassSpec]) -> Optional[SpecialDiagonalW
     InvalidInputError for specs that `Assignment` rejects, and
     KappaNotTwoError when the rigidity index is not 2.
     """
+    from .genericity import Assignment, ClassSpec, _assignment, check_evs
+
     specs = _assignment(specs)
     kappa = kappa_of(specs.jnfs)
     if kappa != 2:
@@ -301,6 +302,8 @@ def weak_verdict_kappa0(specs: Sequence[ClassSpec]) -> Verdict:
     Additively the weak problem is then unsolvable; multiplicatively it is
     solvable iff the reduced product is a primitive d-th root of unity.
     """
+    from .genericity import _assignment, _relation_counts, check_evs, gcd_reduction
+
     specs = _assignment(specs)
     kappa = kappa_of(specs.jnfs)
     if kappa != 0:

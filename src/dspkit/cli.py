@@ -34,8 +34,9 @@ from .report import (
 )
 
 # Each _cmd_* handler imports the modules it runs, so that a process loads
-# only what its command needs: `invariants` and `decide` stay clear of the
-# eigenvalue code, and only `realize` loads numpy.
+# only what its command needs: `invariants`, `decide`, `classify` and
+# `enumerate-rigid` stay clear of the eigenvalue code unless the problem
+# carries eigenvalues, and only `realize` loads numpy.
 
 _PROVENANCE = {
     "invariants": "centralizer-dimension closed form; rigidity index 2n^2 - sum d_j",
@@ -122,7 +123,6 @@ def _cmd_generic(problem, args) -> tuple[dict, int]:
 
 def _cmd_classify(problem, args) -> tuple[dict, int]:
     from . import classify as cls
-    from .genericity import check_evs
     from .jnf import kappa_of
 
     report = base_report("classify", problem)
@@ -158,7 +158,8 @@ def _cmd_classify(problem, args) -> tuple[dict, int]:
             report["special_diagonal"] = {"status": "needs_eigenvalues"}
     else:
         report["special_diagonal"] = {"status": "kappa_not_two"}
-    if kappa == 0 and problem.specs is not None and check_evs(problem.specs):
+    # `specs` is an `Assignment`: `constraint_holds` is `check_evs` on it
+    if kappa == 0 and problem.specs is not None and problem.specs.constraint_holds:
         verdict = cls.weak_verdict_kappa0(problem.specs)
         report["weak_kappa0"] = {
             "provenance": _PROVENANCE["kappa0"],

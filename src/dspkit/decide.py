@@ -22,9 +22,9 @@ from __future__ import annotations
 import enum
 import itertools
 import threading
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from ._record import Record
 from .errors import (
     ChoiceDependenceError,
     InvalidChoiceError,
@@ -52,8 +52,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ConditionCheck:
+class ConditionCheck(Record):
     alpha: bool
     alpha_strict: bool
     beta: bool
@@ -61,7 +60,6 @@ class ConditionCheck:
     n: int
 
     def __init__(self, alpha: bool, alpha_strict: bool, beta: bool, omega: bool, n: int):
-        # frozen: write the instance dict directly, as object.__setattr__ would
         self.__dict__.update(alpha=alpha, alpha_strict=alpha_strict, beta=beta, omega=omega, n=n)
 
 
@@ -100,8 +98,7 @@ class TerminationReason(enum.Enum):
     PSI_UNDEFINED = "psi_undefined"
 
 
-@dataclass(frozen=True)
-class PsiStep:
+class PsiStep(Record):
     input: JnfTuple
     chosen_slots: tuple[int, ...]
     n1: int
@@ -110,15 +107,18 @@ class PsiStep:
         self.__dict__.update(input=input, chosen_slots=chosen_slots, n1=n1)
 
 
-@dataclass(frozen=True)
-class PsiTrace:
+class PsiTrace(Record):
     steps: tuple[PsiStep, ...]
     terminal: JnfTuple
     termination_reason: TerminationReason
 
+    def __init__(
+        self, steps: tuple[PsiStep, ...], terminal: JnfTuple, termination_reason: TerminationReason
+    ):
+        self.__dict__.update(steps=steps, terminal=terminal, termination_reason=termination_reason)
 
-@dataclass(frozen=True)
-class DecisionReport:
+
+class DecisionReport(Record):
     verdict: Verdict
     conditions: ConditionCheck
     kappa: int

@@ -16,11 +16,11 @@ from __future__ import annotations
 import math
 import operator
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
+from ._record import Record
 from .errors import (
     InvalidInputError,
     ResourceExceededError,
@@ -52,8 +52,7 @@ MAX_RELATION_SIZE = 16
 DEFAULT_STATE_BUDGET = 200_000
 
 
-@dataclass(frozen=True)
-class ClassSpec:
+class ClassSpec(Record):
     """A JNF with one exact eigenvalue per slot and a problem mode.
 
     `slots` is an iterable of (blocks, eigenvalue) pairs, blocks a
@@ -102,11 +101,13 @@ class ClassSpec:
         evs = tuple(pairs[i][1] for i in order)
         jnf = Jnf([pairs[i][0] for i in order])
         assert jnf.slots == tuple(pairs[i][0] for i in order), "slot order must be stable"
-        object.__setattr__(self, "jnf", jnf)
-        object.__setattr__(self, "eigenvalues", evs)
-        object.__setattr__(self, "mode", mode)
-        # not a field: equality, hashing and repr stay those of the fields
-        object.__setattr__(self, "_scaled", ((s0, s1), tuple(ints[i] for i in order)))
+        # `_scaled` is not a field: equality, hashing and repr stay those of the fields
+        self.__dict__.update(
+            jnf=jnf,
+            eigenvalues=evs,
+            mode=mode,
+            _scaled=((s0, s1), tuple(ints[i] for i in order)),
+        )
 
     @property
     def n(self) -> int:
@@ -120,21 +121,25 @@ class ClassSpec:
         return dict(zip(self.eigenvalues, self.jnf.slots))
 
 
-@dataclass(frozen=True)
-class RelationWitness:
+class RelationWitness(Record):
     """A concrete non-genericity relation: per-entry selection counts per slot."""
 
     cardinality: int
     selections: tuple[tuple[int, ...], ...]
 
+    def __init__(self, cardinality: int, selections: tuple[tuple[int, ...], ...]):
+        self.__dict__.update(cardinality=cardinality, selections=selections)
 
-@dataclass(frozen=True)
-class GcdReduction:
+
+class GcdReduction(Record):
     """gcd of all eigenvalue multiplicities and the reduced product, if any."""
 
     d: int
     xi: Optional[MultiplicativeScalar]
     xi_primitive: Optional[bool]
+
+    def __init__(self, d: int, xi: Optional[MultiplicativeScalar], xi_primitive: Optional[bool]):
+        self.__dict__.update(d=d, xi=xi, xi_primitive=xi_primitive)
 
 
 class Assignment(tuple):

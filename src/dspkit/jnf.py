@@ -10,11 +10,11 @@ immutable values.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import attrgetter
 from typing import Hashable, Iterable, Mapping, Sequence
 
+from ._record import Record
 from .errors import InvalidInputError
 
 __all__ = [
@@ -54,8 +54,7 @@ class _lazy:
         return value
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(Record):
     """Weakly decreasing tuple of positive integers (Jordan block sizes).
 
     Parts must be ints (bools are not); anything else raises
@@ -81,7 +80,7 @@ class Partition:
             raise InvalidInputError("partition must have at least one part")
         if norm[-1] < 1:
             raise InvalidInputError(f"partition parts must be positive, got {norm}")
-        # frozen: write the instance dict directly, as object.__setattr__ would
+        # immutable: write the instance dict directly
         self.__dict__.update(parts=norm, total=total, num_parts=len(norm), _hash=hash((norm,)))
 
     def __hash__(self) -> int:
@@ -107,8 +106,7 @@ class Partition:
 _parts_of = attrgetter("parts")
 
 
-@dataclass(frozen=True)
-class Jnf:
+class Jnf(Record):
     """Jordan normal form: one partition per (anonymous) eigenvalue slot.
 
     Slots are stored in a canonical order (partitions sorted descending by
@@ -258,8 +256,7 @@ def _jnf_of(entry) -> Jnf:
 _object_new = object.__new__
 
 
-@dataclass(frozen=True)
-class JnfTuple:
+class JnfTuple(Record):
     """Tuple of p+1 JNFs sharing one size n (the conjugacy-class prescriptions).
 
     Entry order matters for equality.  An entry is a `Jnf` or an iterable of
@@ -347,14 +344,16 @@ def kappa_of(tup: JnfTuple) -> int:
     return 2 * n * n - sum(e.d for e in tup.entries)
 
 
-@dataclass(frozen=True)
-class InvariantSummary:
+class InvariantSummary(Record):
     """Per-entry (r, d, z) plus the tuple's rigidity index."""
 
     r: tuple[int, ...]
     d: tuple[int, ...]
     z: tuple[int, ...]
     kappa: int
+
+    def __init__(self, r: tuple[int, ...], d: tuple[int, ...], z: tuple[int, ...], kappa: int):
+        self.__dict__.update(r=r, d=d, z=z, kappa=kappa)
 
 
 def invariant_summary(tup: JnfTuple) -> InvariantSummary:

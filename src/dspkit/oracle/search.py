@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import numbers
 import operator
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
+from .._record import Record
 from ..errors import IllConditionedError, InvalidInputError
 from ..genericity import ClassSpec, _assignment
 from . import gn_numpy, numeric
@@ -27,8 +27,7 @@ MAX_SIZE = 8
 MAX_ENTRIES = 6
 
 
-@dataclass(frozen=True)
-class SearchBudget:
+class SearchBudget(Record):
     """Limits of one search.  `jobs` starts no threads: it is kept for
     existing callers and the report's echo, and restarts always run one at a
     time in index order.
@@ -43,16 +42,23 @@ class SearchBudget:
     which cannot seed the restarts.
     """
 
-    restarts: int = 50
-    iters: int = 200
-    seed: int = 0
-    residual_tol: float = 1e-8
-    jobs: int = 1
-    warm_start: Optional[tuple] = None
+    restarts: int
+    iters: int
+    seed: int
+    residual_tol: float
+    jobs: int
+    warm_start: Optional[tuple]
 
-    def __post_init__(self):
-        for name in ("restarts", "iters", "jobs", "seed"):
-            value = getattr(self, name)
+    def __init__(
+        self,
+        restarts: int = 50,
+        iters: int = 200,
+        seed: int = 0,
+        residual_tol: float = 1e-8,
+        jobs: int = 1,
+        warm_start: Optional[tuple] = None,
+    ):
+        for name, value in (("restarts", restarts), ("iters", iters), ("jobs", jobs), ("seed", seed)):
             try:
                 if isinstance(value, bool):
                     raise TypeError
@@ -61,7 +67,7 @@ class SearchBudget:
                 raise InvalidInputError(f"{name} must be an integer, got {value!r}") from None
             if name != "seed" and value < 1:
                 raise InvalidInputError(f"{name} must be at least 1, got {value}")
-        tol = self.residual_tol
+        tol = residual_tol
         if isinstance(tol, bool) or not isinstance(tol, numbers.Real):
             raise InvalidInputError(f"residual_tol must be a real number, got {tol!r}")
         if not tol > 0:
@@ -70,12 +76,19 @@ class SearchBudget:
             raise InvalidInputError(f"residual_tol must be finite, got {tol}")
         if tol > numeric.EIG_TOL:
             raise InvalidInputError(f"residual_tol must be at most {numeric.EIG_TOL}, got {tol}")
-        if not 0 <= self.seed < 2**32:
-            raise InvalidInputError(f"seed must be in [0, 2**32), got {self.seed}")
+        if not 0 <= seed < 2**32:
+            raise InvalidInputError(f"seed must be in [0, 2**32), got {seed}")
+        self.__dict__.update(
+            restarts=restarts,
+            iters=iters,
+            seed=seed,
+            residual_tol=residual_tol,
+            jobs=jobs,
+            warm_start=warm_start,
+        )
 
 
-@dataclass(frozen=True)
-class RealizationResult:
+class RealizationResult(Record):
     conjugators: tuple
     matrices: tuple
     residual: float
@@ -85,6 +98,30 @@ class RealizationResult:
     certified: bool
     restart_index: int
     backend: str
+
+    def __init__(
+        self,
+        conjugators: tuple,
+        matrices: tuple,
+        residual: float,
+        burnside_dim: int,
+        centralizer_nullity: int,
+        class_membership_ok: bool,
+        certified: bool,
+        restart_index: int,
+        backend: str,
+    ):
+        self.__dict__.update(
+            conjugators=conjugators,
+            matrices=matrices,
+            residual=residual,
+            burnside_dim=burnside_dim,
+            centralizer_nullity=centralizer_nullity,
+            class_membership_ok=class_membership_ok,
+            certified=certified,
+            restart_index=restart_index,
+            backend=backend,
+        )
 
     @property
     def irreducible(self) -> bool:

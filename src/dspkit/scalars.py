@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import cmath
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
+from ._record import Record
 from .errors import InvalidInputError
 
 __all__ = [
@@ -40,8 +40,7 @@ def _rational(x, what: str) -> Fraction:
         raise InvalidInputError(f"{what} must be a rational number, got {x!r}") from None
 
 
-@dataclass(frozen=True)
-class AdditiveScalar:
+class AdditiveScalar(Record):
     """Gaussian rational re + im*i with exact components.
 
     Components convert as Fraction(x) does (ints, Fractions, floats, numeric
@@ -54,8 +53,10 @@ class AdditiveScalar:
     im: Fraction
 
     def __init__(self, re, im=0):
-        object.__setattr__(self, "re", re if type(re) is Fraction else _rational(re, "re"))
-        object.__setattr__(self, "im", im if type(im) is Fraction else _rational(im, "im"))
+        self.__dict__.update(
+            re=re if type(re) is Fraction else _rational(re, "re"),
+            im=im if type(im) is Fraction else _rational(im, "im"),
+        )
 
     def __add__(self, other: "AdditiveScalar") -> "AdditiveScalar":
         return AdditiveScalar(self.re + other.re, self.im + other.im)
@@ -85,8 +86,7 @@ class AdditiveScalar:
         return AdditiveScalar(0, 0)
 
 
-@dataclass(frozen=True)
-class MultiplicativeScalar:
+class MultiplicativeScalar(Record):
     """modulus * exp(2*pi*i*arg) with positive rational modulus, arg in [0,1).
 
     Both parts convert as Fraction(x) does, and a value whose type is
@@ -106,8 +106,7 @@ class MultiplicativeScalar:
         a = arg if type(arg) is Fraction else _rational(arg, "arg")
         if not 0 <= a.numerator < a.denominator:
             a %= 1
-        object.__setattr__(self, "modulus", m)
-        object.__setattr__(self, "arg", a)
+        self.__dict__.update(modulus=m, arg=a)
 
     def __mul__(self, other: "MultiplicativeScalar") -> "MultiplicativeScalar":
         return MultiplicativeScalar(self.modulus * other.modulus, self.arg + other.arg)

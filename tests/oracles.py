@@ -12,11 +12,14 @@ compares integer cross products.  The class slot order sorts on the
 eigenvalues' Fraction `sort_key` and checks distinctness on Fraction hashes,
 where `ClassSpec` compares scaled ints.  The rigid diagonal enumeration
 builds every multiset of diagonal classes and computes its kappa, where
-`enumerate_rigid_diagonal` sums the classes' stored z first.
+`enumerate_rigid_diagonal` sums the classes' stored z first.  Each record
+type has a frozen dataclass twin with the fields it had as a dataclass, the
+reference for its repr, equality, hashing and immutability.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from collections import Counter
 from fractions import Fraction
@@ -375,3 +378,68 @@ def normal_equations_step(J, F, lam):
     H = Jh @ J
     scale = float(np.mean(np.abs(np.diag(H).real))) + 1e-30
     return np.linalg.solve(H + (lam * scale) * ridge_eye, -g)
+
+
+def _budget_field(name: str, default):
+    return (name, object, dataclasses.field(default=default))
+
+
+# name -> frozen dataclass with that name and the record's fields, in order
+RECORD_TWINS = {
+    twin.__name__: twin
+    for twin in (
+        dataclasses.make_dataclass(name, fields, frozen=True)
+        for name, fields in (
+            ("Partition", ["parts"]),
+            ("Jnf", ["slots"]),
+            ("JnfTuple", ["entries"]),
+            ("InvariantSummary", ["r", "d", "z", "kappa"]),
+            ("ConditionCheck", ["alpha", "alpha_strict", "beta", "omega", "n"]),
+            ("PsiStep", ["input", "chosen_slots", "n1"]),
+            ("PsiTrace", ["steps", "terminal", "termination_reason"]),
+            (
+                "DecisionReport",
+                ["verdict", "conditions", "kappa", "trace", "expected_moduli_dimension"],
+            ),
+            ("SpecialCaseTag", ["kind", "k"]),
+            ("SpecialDiagonalWitness", ["l", "n1", "quotient"]),
+            ("ClassSpec", ["jnf", "eigenvalues", "mode"]),
+            ("RelationWitness", ["cardinality", "selections"]),
+            ("GcdReduction", ["d", "xi", "xi_primitive"]),
+            ("AdditiveScalar", ["re", "im"]),
+            ("MultiplicativeScalar", ["modulus", "arg"]),
+            (
+                "SearchBudget",
+                [
+                    _budget_field("restarts", 50),
+                    _budget_field("iters", 200),
+                    _budget_field("seed", 0),
+                    _budget_field("residual_tol", 1e-8),
+                    _budget_field("jobs", 1),
+                    _budget_field("warm_start", None),
+                ],
+            ),
+            (
+                "RealizationResult",
+                [
+                    "conjugators",
+                    "matrices",
+                    "residual",
+                    "burnside_dim",
+                    "centralizer_nullity",
+                    "class_membership_ok",
+                    "certified",
+                    "restart_index",
+                    "backend",
+                ],
+            ),
+        )
+    )
+}
+
+
+def twin_of(record):
+    """The frozen dataclass twin holding the record's values of the twin's
+    fields (read by attribute, so a field the record lacks raises)."""
+    twin = RECORD_TWINS[type(record).__name__]
+    return twin(*[getattr(record, f.name) for f in dataclasses.fields(twin)])

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from dspkit import classify
+from dspkit import genericity
 from dspkit.classify import (
     RigidFamily,
     SpecialKind,
@@ -372,7 +372,7 @@ class TestWeakKappa0:
                     overruns[budget, len(got)] += 1
             verdict = weak_verdict_kappa0(specs)
             with monkeypatch.context() as m:
-                m.setattr(classify, "_relation_counts", per_k_counts)
+                m.setattr(genericity, "_relation_counts", per_k_counts)
                 assert weak_verdict_kappa0(specs) is verdict, seed
             verdicts[verdict] += 1
         # every verdict occurs, and some budgets overrun past k = 1

@@ -887,3 +887,26 @@ class TestImportHygiene:
         out = run_python(RUN_DSPKIT, "generic", fixture, env=os.environ)
         assert out["code"] == 0
         assert {"dspkit.classify", "dspkit.enumerate", "numpy"}.isdisjoint(out["modules"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["invariants", "extra_case.json"],
+            ["decide", "extra_case.json"],
+            ["decide", "example41_generic.json", "--trace"],
+            ["generic", "hypergeometric_n2_generic.json"],
+            ["classify", "special_diagonal_n2.json"],
+            ["classify", "extra_case.json"],
+            ["enumerate-rigid", "--n", "6", "--p", "3"],
+            ["realize", "hypergeometric_n2_generic.json", "--restarts", "2", "--iters", "20"],
+        ],
+    )
+    def test_no_command_loads_dataclasses(self, argv):
+        command, *rest = argv
+        rest = [str(FIXTURES / a) if a.endswith(".json") else a for a in rest]
+        out = run_python(RUN_DSPKIT, command, *rest, env=os.environ)
+        assert out["code"] == 0
+        assert "dataclasses" not in out["modules"]
+        if "extra_case.json" in argv or command == "enumerate-rigid":
+            # no eigenvalues: neither the eigenvalue code nor Fraction arithmetic
+            assert {"dspkit.genericity", "dspkit.scalars", "fractions"}.isdisjoint(out["modules"])

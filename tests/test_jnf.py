@@ -1,6 +1,5 @@
 """Partitions, JNF invariants, the diagonal correspondence and subordination."""
 
-import dataclasses
 import itertools
 import random
 import re
@@ -133,13 +132,13 @@ class TestStoredInvariants:
             assert hash(tup) == hash((tup.entries,))
 
     def test_stored_values_are_not_fields(self):
-        assert [f.name for f in dataclasses.fields(Partition)] == ["parts"]
-        assert [f.name for f in dataclasses.fields(Jnf)] == ["slots"]
-        assert [f.name for f in dataclasses.fields(JnfTuple)] == ["entries"]
+        assert Partition._fields == ("parts",)
+        assert Jnf._fields == ("slots",)
+        assert JnfTuple._fields == ("entries",)
         jnf = Jnf([[2, 1], [4, 3, 1]])
         assert repr(jnf) == "Jnf[[4, 3, 1],[2, 1]]"
         assert repr(jnf.slots[0]) == "Partition(4, 3, 1)"
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError, match="cannot assign to field 'size'"):
             jnf.size = 3
         with pytest.raises(AttributeError):
             jnf.no_such_attribute
