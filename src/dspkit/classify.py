@@ -71,7 +71,15 @@ def _family_rows(n: int) -> list[tuple[RigidFamily, tuple[tuple[int, ...], ...]]
 
 
 def rigid_family_tuple(tag: RigidFamily, n: int) -> JnfTuple:
-    """Instantiate one of the four rigid diagonalizable triples at size n."""
+    """Instantiate one of the four rigid diagonalizable triples at size n.
+
+    Raises InvalidInputError when `tag` is not a `RigidFamily`, when n is
+    not an int (bools included) or when the family has no row at size n.
+    """
+    if not isinstance(tag, RigidFamily):
+        raise InvalidInputError(f"tag must be a RigidFamily, got {tag!r}")
+    if n.__class__ is not int:
+        raise InvalidInputError(f"n must be an int, got {n!r}")
     for row_tag, mvs in _family_rows(n):
         if row_tag is tag:
             return JnfTuple([_diag(mv) for mv in mvs])
@@ -145,19 +153,33 @@ def _row_blocks(kind: SpecialKind, k: int) -> tuple[tuple[int, ...], ...]:
     return tuple(blocks)
 
 
+def _check_k(k, low: int) -> None:
+    if k.__class__ is not int or k < low:
+        raise InvalidInputError(f"k must be an int >= {low}, got {k!r}")
+
+
 def special_case_tuple(kind: SpecialKind, k: int) -> JnfTuple:
-    """Equal-block-size tuple of the given special row at parameter k >= 1."""
-    if kind not in _SPECIAL_ROWS:
+    """Equal-block-size tuple of the given special row at parameter k >= 1.
+
+    Raises InvalidInputError when `kind` is not one of the four special
+    rows, or when k is not an int (bools included) or is below 1.
+    """
+    if not isinstance(kind, SpecialKind) or kind not in _SPECIAL_ROWS:
         raise InvalidInputError(f"not a special row: {kind}")
+    _check_k(k, 1)
     return JnfTuple([Jnf([blocks]) for blocks in _row_blocks(kind, k)])
 
 
 def almost_special_tuple(kind: SpecialKind, k: int) -> JnfTuple:
-    """Special row with one pair of largest blocks split into sizes l+1, l-1."""
-    if kind not in _ALMOST_ROWS:
+    """Special row with one pair of largest blocks split into sizes l+1, l-1.
+
+    Raises InvalidInputError when `kind` is not one of the four
+    almost-special rows, or when k is not an int (bools included) or is
+    below 2.
+    """
+    if not isinstance(kind, SpecialKind) or kind not in _ALMOST_ROWS:
         raise InvalidInputError(f"not an almost-special row: {kind}")
-    if k < 2:
-        raise InvalidInputError("almost-special rows need k > 1")
+    _check_k(k, 2)
     return JnfTuple([Jnf([blocks]) for blocks in _row_blocks(kind, k)])
 
 

@@ -35,6 +35,12 @@ def partitions(n: int, max_part: Optional[int] = None) -> Iterator[tuple[int, ..
 
 @lru_cache(maxsize=None)
 def all_partitions(n: int) -> tuple[Partition, ...]:
+    """Every partition of n as a `Partition`, in the order of `partitions`.
+
+    Raises InvalidInputError when n is not an int (bools included) or n < 1.
+    """
+    if n.__class__ is not int or n < 1:
+        raise InvalidInputError(f"a partition needs n >= 1, got {n!r}")
     return tuple(Partition(p) for p in partitions(n))
 
 

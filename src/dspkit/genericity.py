@@ -89,7 +89,7 @@ class ClassSpec(Record):
         # each coordinate of `sort_key` as an int over the lcm of that
         # coordinate's denominators in the class: the order and equality of
         # `sort_key` without Fraction comparisons and hashes, and the ints
-        # `_key_map` starts from
+        # `_integer_keys` starts from
         coords = [ev.sort_key() for _, ev in pairs]
         s0 = math.lcm(*[x.denominator for x, _ in coords])
         s1 = math.lcm(*[y.denominator for _, y in coords])
@@ -232,9 +232,9 @@ def _valuation(x: int, b: int) -> int:
     return e
 
 
-def _key_map(specs: Assignment):
-    """M, the keys mod M of the eigenvalues of `specs` (class by class, slot
-    by slot), and the map from any value of their mode to its key.
+def _integer_keys(specs: Assignment) -> tuple[int, list]:
+    """M and, for each class and slot, the (key mod M, multiplicity) of the
+    slot's eigenvalue.
 
     A value's coordinates are, additively, re and im scaled by L, the lcm of
     all re/im denominators, and multiplicatively the modulus's exponents over
@@ -245,6 +245,12 @@ def _key_map(specs: Assignment):
     integer of |x| <= (F - 1)/2.  The argument, scaled to an int arg*wrap
     by wrap, the lcm of its denominators (wrap is 1 additively), is the
     digit above: key = (packed + arg*wrap * F) mod M with M = wrap * F.
+
+    The key of a sum (product) is the sum of the keys mod M, the key of c
+    copies is c * key mod M and that of the negative (inverse) -key mod M.
+    The map is injective on every selection of eigenvalue copies and on its
+    inverse, so a dict keyed by it sees the hits and misses of one keyed by
+    the scalars, in the same order.
     """
     mults = [m for s in specs for m in s.multiplicities()]
     # the classes' own values start from their scaled ints (`ClassSpec._scaled`)
@@ -252,10 +258,6 @@ def _key_map(specs: Assignment):
     if specs.mode == "additive":
         wrap = 1
         scale = math.lcm(*(x for s in specs for x in s._scaled[0]))
-
-        def coordinates(ev):
-            return [x.numerator * (scale // x.denominator) for x in (ev.re, ev.im)], 0
-
         columns: list[list[int]] = [[], []]
         for s in specs:
             (re_scale, im_scale), ints = s._scaled
@@ -263,17 +265,10 @@ def _key_map(specs: Assignment):
             columns[0] += [re * f for re, _ in ints]
             columns[1] += [im * g for _, im in ints]
         args = [0] * len(mults)
-
     else:
         wrap = math.lcm(*(s._scaled[0][1] for s in specs))
         moduli = [ev.modulus for s in specs for ev in s.eigenvalues]
         base = _coprime_base(x for q in moduli for x in (q.numerator, q.denominator))
-
-        def coordinates(ev):
-            q = ev.modulus
-            exponents = [_valuation(q.numerator, b) - _valuation(q.denominator, b) for b in base]
-            return exponents, ev.arg.numerator * (wrap // ev.arg.denominator)
-
         columns = [[_valuation(q.numerator, b) - _valuation(q.denominator, b) for q in moduli]
                    for b in base]
         args = []
@@ -282,33 +277,13 @@ def _key_map(specs: Assignment):
             f = wrap // arg_scale
             args += [arg * f for _, arg in ints]
 
-    places, span = [], 1
+    span = 1
+    keys = [0] * len(mults)
     for column in columns:
-        places.append(span)
+        keys = [key + x * span for key, x in zip(keys, column)]
         span *= 2 * sum(map(operator.mul, mults, map(abs, column))) + 1
     modulus = wrap * span
-    keys = [arg * span for arg in args]
-    for column, place in zip(columns, places):
-        keys = [key + x * place for key, x in zip(keys, column)]
-
-    def pack(free, arg) -> int:
-        return (sum(x * place for x, place in zip(free, places)) + arg * span) % modulus
-
-    return modulus, [key % modulus for key in keys], lambda ev: pack(*coordinates(ev))
-
-
-def _integer_keys(specs: Assignment) -> tuple[int, list]:
-    """M and, for each class and slot, the (key, multiplicity) of the slot's
-    eigenvalue, with the keys of `_key_map`.
-
-    The key of a sum (product) is the sum of the keys mod M, the key of c
-    copies is c * key mod M and that of the negative (inverse) -key mod M.
-    The map is injective on every selection of eigenvalue copies and on its
-    inverse, so a dict keyed by it sees the hits and misses of one keyed by
-    the scalars, in the same order.
-    """
-    modulus, keys, _ = _key_map(specs)
-    keys = iter(keys)
+    keys = iter([(key + arg * span) % modulus for key, arg in zip(keys, args)])
     return modulus, [[(next(keys), m) for m in spec.multiplicities()] for spec in specs]
 
 
@@ -553,35 +528,21 @@ def check_generalized_beta(specs: Sequence[ClassSpec]) -> bool:
 
 
 _VALUE_CAP = 12
-_INV_GAP = 8  # slots closer than 1/8 in both coordinates are too close
 
 
-def _well_scaled(values, mode: str) -> bool:
-    """Keep sampled spectra numerically tame: bounded values, separated slots.
-
-    Arguments of equal modulus stay 1/16 apart, or 1/(2S) among S > 8 slots:
-    the middle halves of S equal cells of [0, 1) are more than 1/(2S) apart,
-    so the sampler's free slots always pass.  Pairs are compared on integer
-    cross products: |x/q - y/r| < 1/c exactly when c |x r - y q| < q r.
+def _solved_fits(x: int, q: int, mates: list, width: int, spread: int, additive: bool) -> bool:
+    """Whether the solved value x/q is tame: |x/q| <= 12 additively, and x/q
+    at least width/spread from each value a/p of `mates`, the (a, p) of the
+    other slots of its class; multiplicatively the distance is taken on the
+    circle.  Compared on integer cross products: |x/q - a/p| < w/c exactly
+    when c |x p - a q| < w q p.
     """
-    if mode == "additive":
-        points = [(v.re.numerator, v.re.denominator, v.im.numerator, v.im.denominator)
-                  for v in values]
-        if any(abs(x) > _VALUE_CAP * q or abs(y) > _VALUE_CAP * r for x, q, y, r in points):
+    if additive and abs(x) > _VALUE_CAP * q:
+        return False
+    for a, p in mates:
+        d, whole = x * p - a * q, q * p
+        if spread * (abs(d) if additive else min(d % whole, -d % whole)) < width * whole:
             return False
-        for i, (x, q, y, r) in enumerate(points):
-            for x2, q2, y2, r2 in points[i + 1 :]:
-                if (_INV_GAP * abs(x * q2 - x2 * q) < q * q2
-                        and _INV_GAP * abs(y * r2 - y2 * r) < r * r2):
-                    return False
-    else:
-        arcs = max(2 * _INV_GAP, 2 * len(values))
-        points = [(v.modulus, v.arg.numerator, v.arg.denominator) for v in values]
-        for i, (m, x, q) in enumerate(points):
-            for m2, x2, q2 in points[i + 1 :]:
-                gap, whole = abs(x * q2 - x2 * q), q * q2
-                if arcs * min(gap, whole - gap) < whole and m == m2:
-                    return False
     return True
 
 
@@ -615,17 +576,23 @@ def sample_generic(
     multiplicatively never, since g does not divide j s.
 
     Free slot j of an entry with S slots lies in the middle half of cell j
-    of S equal cells of [-3, 3) (values) or [0, 1) (arguments), so
-    `_well_scaled` rejects only a badly placed solved slot; `max_retries`
-    bounds those redraws.  Returns a plain list of `ClassSpec`s.  Raises
-    InvalidInputError for an unknown mode, a `tup` that is not a `JnfTuple`,
-    a `seed` that is not None, an int, a float, a str, bytes or a bytearray
-    (what `random.Random` takes; Python 3.10 hashed any other seed, numpy
+    of S equal cells of [-3, 3) (values) or [0, 1) (arguments), so free
+    slots of one class are more than 3/S (values) or 1/(2S) (arguments,
+    also around the circle) apart.  Only the solved value is checked: it
+    must satisfy |x_L| <= 12 additively and keep from every other slot of
+    its class a distance of 1/8, or 3/S beyond 24 slots (values), and of
+    1/16, or 1/(2S) beyond 8 slots (arguments, on the circle).  A draw
+    that fails is redrawn, and `max_retries` bounds those redraws.
+
+    Returns a plain list of `ClassSpec`s.  Raises InvalidInputError for an
+    unknown mode, a `tup` that is not a `JnfTuple`, a `seed` that is not
+    None, an int, a float, a str, bytes or a bytearray (what
+    `random.Random` takes; Python 3.10 hashed any other seed, numpy
     integers included, with a DeprecationWarning) or a `max_retries` that
     is not an int >= 1 (bools included), and SamplingExhaustedError at once
     for additive multiplicities with a common factor g > 1 (every
-    assignment then has a relation), or when `max_retries` draws are all
-    badly scaled.
+    assignment then has a relation), or when the solved value of all
+    `max_retries` draws fails its check.
     """
     if mode not in ("additive", "multiplicative"):
         raise InvalidInputError(f"unknown mode {mode!r}")
@@ -660,29 +627,37 @@ def sample_generic(
         lo, hi = (origin * cells + width * t for t in (4 * j + 1, 4 * j + 3))
         free.append((e, j, p, -(-lo * p // cells), -(-hi * p // cells)))
     common = math.prod(p for _, _, p, _, _ in free)
+    q = common * m_solved  # the solved value's denominator
+    mates = [(i, p) for i, (e, _, p, _, _) in enumerate(free) if e == solved[0]]
+    # the solved value keeps width/spread from the other slots of its class,
+    # the spacing free slots have in a class of max(S, 24) (values) or
+    # max(S, 8) (arguments) slots: 1/8 and 1/16 up to those sizes
+    spread = 2 * max(len(mults[solved[0]]), 24 if additive else 8)
     rng = random.Random(seed)
     for _ in range(max_retries):
-        xs: list[list] = [[None] * len(row) for row in mults]
+        numerators = []
         total = 0  # sum of m_i x_i, times common
         for e, j, p, first, stop in free:
             a = rng.randrange(first, stop)
             while a % p == 0:
                 a = rng.randrange(first, stop)
-            xs[e][j] = Fraction(a, p)
+            numerators.append(a)
             total += mults[e][j] * a * (common // p)
-        xs[solved[0]][solved[1]] = Fraction(rng.choice(shifts) * common - total, common * m_solved)
-        if additive:
-            values = [[AdditiveScalar(x) for x in row] for row in xs]
-        else:
-            values = [[MultiplicativeScalar(1, x) for x in row] for row in xs]
-        if all(_well_scaled(row, mode) for row in values):
-            specs = [
-                ClassSpec(list(zip(entry.slots, row)), mode)
-                for entry, row in zip(tup.entries, values)
-            ]
-            assert check_evs(specs), "solved assignment must satisfy the global constraint"
-            return specs
-    raise SamplingExhaustedError(f"no well-scaled assignment found in {max_retries} tries")
+        x = rng.choice(shifts) * common - total  # the solved value is x / q
+        if _solved_fits(x, q, [(numerators[i], p) for i, p in mates], width, spread, additive):
+            break
+    else:
+        raise SamplingExhaustedError(f"no well-scaled assignment found in {max_retries} tries")
+    scalar = AdditiveScalar if additive else lambda v: MultiplicativeScalar(1, v)
+    values: list[list] = [[None] * len(row) for row in mults]
+    for (e, j, p, _, _), a in zip(free, numerators):
+        values[e][j] = scalar(Fraction(a, p))
+    values[solved[0]][solved[1]] = scalar(Fraction(x, q))
+    specs = [
+        ClassSpec(list(zip(entry.slots, row)), mode) for entry, row in zip(tup.entries, values)
+    ]
+    assert check_evs(specs), "solved assignment must satisfy the global constraint"
+    return specs
 
 
 def exp_map(spec: ClassSpec) -> ClassSpec:

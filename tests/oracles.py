@@ -7,14 +7,15 @@ kernel avoids.  The half-split relation DP is the relation search's earlier
 fold, kept to compare the search's size-based split against on the same
 integer keys.  The global-constraint test sums (multiplies) the eigenvalues
 in plain Fraction arithmetic, the form `check_evs` replaced by the keys, and
-the sampler's spacing test subtracts Fractions where `_well_scaled`
-compares integer cross products.  The class slot order sorts on the
-eigenvalues' Fraction `sort_key` and checks distinctness on Fraction hashes,
-where `ClassSpec` compares scaled ints.  The rigid diagonal enumeration
-builds every multiset of diagonal classes and computes its kappa, where
-`enumerate_rigid_diagonal` sums the classes' stored z first.  Each record
-type has a frozen dataclass twin with the fields it had as a dataclass, the
-reference for its repr, equality, hashing and immutability.
+the sampler's spacing test checks every pair of a class in Fractions, where
+`sample_generic` checks the solved value alone on integer cross products.
+The class slot order sorts on the eigenvalues' Fraction `sort_key` and
+checks distinctness on Fraction hashes, where `ClassSpec` compares scaled
+ints.  The rigid diagonal enumeration builds every multiset of diagonal
+classes and computes its kappa, where `enumerate_rigid_diagonal` sums the
+classes' stored z first.  Each record type has a frozen dataclass twin
+with the fields it had as a dataclass, the reference for its repr,
+equality, hashing and immutability.
 """
 
 from __future__ import annotations
@@ -149,9 +150,9 @@ def fraction_class_order(pairs):
 
 
 def fraction_well_scaled(values, mode: str) -> bool:
-    """`_well_scaled` on Fraction differences: |re|, |im| <= 12; additive
-    values 1/8 apart in re or im; arguments of equal modulus at a circular
-    distance of at least min(1/16, 1/(2S)) among S values."""
+    """Every pair of one class, on Fraction differences: |re|, |im| <= 12;
+    additive values 1/8 apart in re or im; arguments of equal modulus at a
+    circular distance of at least min(1/16, 1/(2S)) among S values."""
     if mode == "additive":
         if any(abs(v.re) > 12 or abs(v.im) > 12 for v in values):
             return False

@@ -1,6 +1,7 @@
 """Rigid-family and special-case recognition, weak-problem verdicts."""
 
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -152,6 +153,45 @@ class TestSpecialTables:
     def test_multi_slot_entries_never_match(self):
         tup = JnfTuple([Jnf([[2], [2]])] * 4)
         assert match_special(tup).kind is SpecialKind.NONE
+
+
+class TestConstructorArguments:
+    """The row constructors take an int parameter in range, bools excluded,
+    and raise InvalidInputError naming it."""
+
+    @pytest.mark.parametrize("k", [0, -1, 1.5, "2", True, None])
+    def test_special_k(self, k):
+        message = f"^k must be an int >= 1, got {re.escape(repr(k))}$"
+        with pytest.raises(InvalidInputError, match=message):
+            special_case_tuple(SpecialKind.SPECIAL_A, k)
+
+    @pytest.mark.parametrize("k", [1, 0, 2.5, "3", True, None])
+    def test_almost_special_k(self, k):
+        message = f"^k must be an int >= 2, got {re.escape(repr(k))}$"
+        with pytest.raises(InvalidInputError, match=message):
+            almost_special_tuple(SpecialKind.ALMOST_B, k)
+
+    @pytest.mark.parametrize("n", ["3", 3.0, True, None])
+    def test_rigid_family_n(self, n):
+        message = f"^n must be an int, got {re.escape(repr(n))}$"
+        with pytest.raises(InvalidInputError, match=message):
+            rigid_family_tuple(RigidFamily.HYPERGEOMETRIC, n)
+
+    @pytest.mark.parametrize("tag", ["hypergeometric", None, SpecialKind.SPECIAL_A])
+    def test_rigid_family_tag(self, tag):
+        with pytest.raises(InvalidInputError, match="^tag must be a RigidFamily, got "):
+            rigid_family_tuple(tag, 3)
+
+    @pytest.mark.parametrize("build", [special_case_tuple, almost_special_tuple])
+    @pytest.mark.parametrize("kind", [RigidFamily.HYPERGEOMETRIC, "special_a", [1]])
+    def test_kind_that_is_not_a_row(self, build, kind):
+        with pytest.raises(InvalidInputError, match="^not an? (almost-)?special row: "):
+            build(kind, 2)
+
+    def test_smallest_parameters_build(self):
+        assert special_case_tuple(SpecialKind.SPECIAL_B, 1).n == 3
+        assert almost_special_tuple(SpecialKind.ALMOST_B, 2).n == 6
+        assert rigid_family_tuple(RigidFamily.HYPERGEOMETRIC, 2).n == 2
 
 
 class TestUnipotentDecision:

@@ -20,9 +20,7 @@ from dspkit.genericity import (
     ClassSpec,
     _assignment,
     _integer_keys,
-    _key_map,
     _relation_counts,
-    _well_scaled,
     check_evs,
     check_generalized_beta,
     exp_map,
@@ -396,21 +394,15 @@ class TestKeyMap:
     def test_every_sub_selection(self, case):
         for seed in range(60):
             specs = Assignment(encoding_specs(random.Random(seed), case))
-            modulus, keys, key_of = _key_map(specs)
+            modulus, slots = _integer_keys(specs)
             pairs = [(ev, m) for s in specs for ev, m in zip(s.eigenvalues, s.multiplicities())]
-            assert keys == [key_of(ev) for ev, _ in pairs]
-            got_modulus, slots = _integer_keys(specs)
-            assert got_modulus == modulus
-            assert [pair for entry in slots for pair in entry] == [
-                (key, m) for key, (_, m) in zip(keys, pairs)
-            ]
+            assert [m for entry in slots for _, m in entry] == [m for _, m in pairs]
+            keys = [key for entry in slots for key, _ in entry]
             by_key = {}
             for counts in itertools.product(*(range(m + 1) for _, m in pairs)):
                 key = sum(c * k % modulus for c, k in zip(counts, keys)) % modulus
                 value = fraction_value(pairs, counts, specs.mode)
                 inverse = -value if specs.mode == "additive" else value.inverse()
-                assert key == key_of(value), (case, seed, counts)
-                assert -key % modulus == key_of(inverse), (case, seed, counts)
                 # selections and inverses share a key exactly when their values are equal
                 assert by_key.setdefault(key, value) == value, (case, seed, counts)
                 assert by_key.setdefault(-key % modulus, inverse) == inverse, (case, seed, counts)
@@ -772,42 +764,6 @@ class TestGeneralizedBeta:
 
 
 class TestSampler:
-    def test_well_scaled_matches_fraction_oracle(self):
-        A, M = AdditiveScalar, MultiplicativeScalar
-        edges = [  # (values, mode, expected): gaps and caps exactly at and near their bounds
-            ([A(0), A(Fraction(1, 8))], "additive", True),
-            ([A(0), A(Fraction(1, 8) - Fraction(1, 10**9))], "additive", False),
-            ([A(0, 0), A(Fraction(1, 16), Fraction(1, 8))], "additive", True),
-            ([A(12, -12)], "additive", True),
-            ([A(Fraction(1201, 100))], "additive", False),
-            ([M(1, 0), M(1, Fraction(1, 16))], "multiplicative", True),
-            ([M(1, 0), M(1, Fraction(15, 16))], "multiplicative", True),
-            ([M(1, 0), M(1, Fraction(1, 17))], "multiplicative", False),
-            ([M(2, 0), M(Fraction(1, 2), Fraction(1, 17))], "multiplicative", True),
-            ([M(1, Fraction(j, 20)) for j in range(10)], "multiplicative", True),
-            ([M(1, Fraction(j, 21)) for j in range(10)], "multiplicative", False),
-        ]
-        for values, mode, expected in edges:
-            assert _well_scaled(values, mode) is fraction_well_scaled(values, mode) is expected
-        rng = random.Random(9)
-        seen = set()
-        for _ in range(3000):
-            size = rng.randint(1, 10)
-            if rng.random() < 0.5:
-                mode = "additive"
-                values = [A(Fraction(rng.randint(-100, 100), rng.randint(1, 16)),
-                            Fraction(rng.choice([0, rng.randint(-100, 100)]), rng.randint(1, 16)))
-                          for _ in range(size)]
-            else:
-                mode = "multiplicative"
-                values = [M(rng.choice([1, 2, Fraction(1, 3)]),
-                            Fraction(rng.randint(0, 64), rng.choice([7, 16, 17, 20, 32, 64])))
-                          for _ in range(size)]
-            got = _well_scaled(values, mode)
-            assert got == fraction_well_scaled(values, mode), (mode, values)
-            seen.add((mode, got))
-        assert len(seen) == 4
-
     def test_deterministic(self):
         tup = JnfTuple([Jnf([[1], [1]])] * 3)
         assert sample_generic(tup, "additive", seed=3) == sample_generic(
@@ -972,6 +928,54 @@ class TestSamplerGenericByConstruction:
             assert gcd_reduction(specs).xi_primitive is True
             if tup.n <= 4:
                 assert not any(naive_relation_counts(specs))
+
+
+class TestSolvedSlotCheck:
+    """The sampler checks only the value it solves; every class of every draw
+    still keeps the spacing and the cap of the whole-class oracle."""
+
+    def test_draws_pass_the_whole_class_oracle(self):
+        # additive classes of at most 24 slots, where the oracle's 1/8 applies
+        for mode, max_n in (("additive", 24), ("multiplicative", 30)):
+            for tup in rigid_rows(max_n):
+                for seed in range(10):
+                    for spec in sample_generic(tup, mode, seed=seed):
+                        assert fraction_well_scaled(spec.eigenvalues, mode), (tup, mode, seed)
+
+    @pytest.mark.parametrize("mode, mults", [
+        # the 4-fold slots of seven classes lie in their lowest cell, so the
+        # solved value, minus their sum over 4, is often above the cap of 12
+        ("additive", [[4, 1, 1, 1, 1]] * 8),
+        # the solved value's class has 12 slots: it often falls within 1/24
+        # of the class's last argument across 0, while more than 1/24 from
+        # it on the line
+        ("multiplicative", [[2] + [1] * 11, [1] * 13, [1] * 13]),
+    ])
+    def test_solved_value_near_its_bounds(self, mode, mults):
+        tup = diagonal_tuple(mults)
+        redrawn = 0
+        for seed in range(200):
+            try:
+                sample_generic(tup, mode, seed=seed, max_retries=1)
+            except SamplingExhaustedError:
+                redrawn += 1
+            for spec in sample_generic(tup, mode, seed=seed):
+                assert fraction_well_scaled(spec.eigenvalues, mode), seed
+        assert 40 <= redrawn <= 160
+
+    def test_additive_rows_from_n34_to_n40_draw(self):
+        # past 24 slots the free slots of a class are 3/S apart, and so is
+        # the solved value
+        rows = [tup for tup in rigid_rows(40) if tup.n >= 34]
+        assert len(rows) == 14
+        for tup in rows:
+            for seed in range(10):
+                for spec in sample_generic(tup, "additive", seed=seed):
+                    assert all(ev.im == 0 for ev in spec.eigenvalues)
+                    values = sorted(ev.re for ev in spec.eigenvalues)
+                    gap = min(Fraction(1, 8), Fraction(3, len(values)))
+                    assert all(abs(v) <= 12 for v in values), (tup, seed)
+                    assert all(b - a >= gap for a, b in zip(values, values[1:])), (tup, seed)
 
 
 class TestExpMap:

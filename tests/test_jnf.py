@@ -366,6 +366,17 @@ class TestSizeBelowOne:
             build(n)
 
 
+class TestAllPartitionsSize:
+    @pytest.mark.parametrize("n", [-2, 0, "3", True, 3.0, None])
+    def test_rejected(self, n):
+        from dspkit.enumerate import all_partitions
+
+        assert len(all_partitions(3)) == 3 and len(all_partitions(1)) == 1
+        message = f"^a partition needs n >= 1, got {re.escape(repr(n))}$"
+        with pytest.raises(InvalidInputError, match=message):
+            all_partitions(n)
+
+
 class TestRigidDiagonalP:
     """`enumerate_rigid_diagonal` takes an int p >= 1, p + 1 entries, and
     keeps the multisets the brute-force walk keeps, in its order."""
